@@ -38,6 +38,28 @@
 //     on a closed graph is even, growth terminates with every cluster
 //     even.
 //
+//     The leading sweeps that cannot complete an edge run as one pass.
+//     When growth starts every unerased edge still needs its full
+//     target, at least 2·wmin half-steps for the graph's smallest
+//     weight wmin, and a sweep adds at most two half-steps to an edge
+//     (one per endpoint: a node sits on at most one boundary list). So
+//     sweeps 1…wmin−1 merge nothing and leave every odd cluster and
+//     boundary list as it was; sweeps 1…wmin visit the same (node,
+//     edge) pairs in the same order, and one pass adding wmin
+//     half-steps per visit completes the same edges in the same order
+//     as sweep wmin would. Merge order, guard conflicts and corrections
+//     are unchanged, and GrowthSweeps still counts every fused sweep. A
+//     unit-weight graph has nothing to fuse; the circuit-level weights
+//     (2, 2, 3) fuse the first two sweeps, saving one whole pass over
+//     every defect's fresh edges.
+//
+//     The kernel keeps each node's whole state (cluster, boundary and
+//     member lists, erasure CSR range, extent, extraction stamp) in one
+//     64-byte record, reads incident edges from 8-byte {edge, far
+//     node} adjacency slots, and tracks per-edge growth as a 2-byte
+//     remaining-support counter with an untouched flag, so the hot loop
+//     needs no per-edge target load.
+//
 //  3. Peeling. The fully-grown edges form an "erasure" that connects
 //     each cluster. A depth-first spanning forest of that erasure is
 //     peeled leaf-first: a leaf holding a defect emits its tree edge
@@ -137,10 +159,13 @@
 //     invariant move set), itself a pure function of (L, T, weights,
 //     schedule) — no randomness enters the metric.
 //   - Growth sweeps visit clusters in first-touch order and increment
-//     support by exactly one half-step per boundary visit; weighted
-//     targets (2·weight) change when an edge crosses, never the visit
-//     order. A unit-weight graph is therefore bit-identical to the
-//     pre-weighted decoder, emit order included.
+//     support by exactly one half-step per boundary visit (the fused
+//     leading pass by wmin half-steps, which is the same thing — see
+//     phase 2); weighted targets (2·weight) change when an edge crosses,
+//     never the visit order. A unit-weight graph is therefore
+//     bit-identical to the pre-weighted decoder, emit order included,
+//     and a test-only copy of the kernel before fusing and record
+//     packing pins the current one to it bit for bit.
 //   - Erased edges seed in caller order before any growth; merges happen
 //     in grow order; peeling follows DFS order (boundary-rooted trees
 //     first on open-boundary graphs).

@@ -10,12 +10,11 @@ type Graph struct {
 	nodes  int
 	endU   []int32 // edge e runs endU[e] — endV[e]
 	endV   []int32
-	weight []int32  // per-edge growth weight, >= 1
-	grow   []uint32 // per-edge full-support target, 2·weight (the growth loop's unit)
+	target []uint16 // per-edge full-support target, 2·weight (the growth loop's unit)
 	maxW   int32
-	off    []int32 // CSR offsets into adjEdge/adjNode, len nodes+1
-	adjE   []int32 // incident edge ids, grouped by node
-	adjN   []int32 // the far endpoint of the matching adjE entry
+	minW   int32   // smallest edge weight: the union-find's fused leading sweeps
+	off    []int32 // CSR offsets into adj, len nodes+1
+	adj    []adjSlot
 
 	// Open-boundary support (sliding-window decoding): boundary nodes
 	// absorb defect parity, so a cluster containing one never counts as
@@ -23,6 +22,20 @@ type Graph struct {
 	bnd     []bool
 	bndList []int32 // boundary node ids in ascending order
 }
+
+// adjSlot is one incidence of a node: the edge, and the far endpoint
+// shifted left by one with bit 0 set when the far endpoint is the edge's
+// endU (the near node is endV). The growth loop reads everything it needs
+// about an incident edge from this one 8-byte slot.
+type adjSlot struct {
+	edge int32
+	far  int32
+}
+
+// MaxEdgeWeight is the largest edge weight a Graph accepts: the union-find
+// decoder counts an edge's remaining growth, 2·weight half-steps, in 15
+// bits.
+const MaxEdgeWeight = 1<<14 - 1
 
 // NewGraph builds a unit-weight graph from the edge-endpoint table: edge
 // e connects ends[e][0] and ends[e][1]. Adjacency lists are laid out in
@@ -32,11 +45,12 @@ func NewGraph(nodes int, ends [][2]int32) *Graph {
 	return NewWeightedGraph(nodes, ends, nil)
 }
 
-// NewWeightedGraph is NewGraph with per-edge integer weights (all 1 when
-// weights is nil). Weights are the growth currency of the union-find
-// decoder: an edge of weight w needs 2w half-steps of support to join the
-// erasure, so non-uniform error channels (data vs measurement errors in a
-// space-time volume) steer the clusters along the likelier paths.
+// NewWeightedGraph is NewGraph with per-edge integer weights in
+// [1, MaxEdgeWeight] (all 1 when weights is nil). Weights are the growth
+// currency of the union-find decoder: an edge of weight w needs 2w
+// half-steps of support to join the erasure, so non-uniform error
+// channels (data vs measurement errors in a space-time volume) steer the
+// clusters along the likelier paths.
 func NewWeightedGraph(nodes int, ends [][2]int32, weights []int32) *Graph {
 	if weights != nil && len(weights) != len(ends) {
 		panic("decoder: weight count does not match edge count")
@@ -45,9 +59,9 @@ func NewWeightedGraph(nodes int, ends [][2]int32, weights []int32) *Graph {
 		nodes:  nodes,
 		endU:   make([]int32, len(ends)),
 		endV:   make([]int32, len(ends)),
-		weight: make([]int32, len(ends)),
-		grow:   make([]uint32, len(ends)),
+		target: make([]uint16, len(ends)),
 		maxW:   1,
+		minW:   MaxEdgeWeight,
 		off:    make([]int32, nodes+1),
 	}
 	for e, uv := range ends {
@@ -61,27 +75,27 @@ func NewWeightedGraph(nodes int, ends [][2]int32, weights []int32) *Graph {
 		if w < 1 {
 			panic("decoder: edge weight must be positive")
 		}
-		if w > g.maxW {
-			g.maxW = w
+		if w > MaxEdgeWeight {
+			panic("decoder: edge weight exceeds MaxEdgeWeight")
 		}
+		g.maxW = max(g.maxW, w)
+		g.minW = min(g.minW, w)
 		g.endU[e], g.endV[e] = uv[0], uv[1]
-		g.weight[e] = w
-		g.grow[e] = uint32(2 * w)
+		g.target[e] = uint16(2 * w)
 		g.off[uv[0]+1]++
 		g.off[uv[1]+1]++
 	}
 	for v := 0; v < nodes; v++ {
 		g.off[v+1] += g.off[v]
 	}
-	g.adjE = make([]int32, 2*len(ends))
-	g.adjN = make([]int32, 2*len(ends))
+	g.adj = make([]adjSlot, 2*len(ends))
 	cursor := make([]int32, nodes)
 	copy(cursor, g.off[:nodes])
 	for e := range ends {
 		u, v := g.endU[e], g.endV[e]
-		g.adjE[cursor[u]], g.adjN[cursor[u]] = int32(e), v
+		g.adj[cursor[u]] = adjSlot{edge: int32(e), far: v << 1}
 		cursor[u]++
-		g.adjE[cursor[v]], g.adjN[cursor[v]] = int32(e), u
+		g.adj[cursor[v]] = adjSlot{edge: int32(e), far: u<<1 | 1}
 		cursor[v]++
 	}
 	return g
@@ -130,7 +144,7 @@ func (g *Graph) Edges() int { return len(g.endU) }
 func (g *Graph) Ends(e int) (int, int) { return int(g.endU[e]), int(g.endV[e]) }
 
 // Weight returns the growth weight of edge e.
-func (g *Graph) Weight(e int) int { return int(g.weight[e]) }
+func (g *Graph) Weight(e int) int { return int(g.target[e] / 2) }
 
 // MaxWeight returns the largest edge weight in the graph.
 func (g *Graph) MaxWeight() int { return int(g.maxW) }

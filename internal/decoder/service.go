@@ -42,9 +42,9 @@ type Shot struct {
 // that graph; an unbound pool (NewPool) multiplexes submissions against
 // any number of graphs (SubmitOn), which is how one worker fleet serves
 // many concurrent sessions with different window shapes. Workers hold
-// per-graph UnionFind scratch across submissions (epoch-stamped arrays
-// make reuse free), so a sustained stream of windows pays allocation
-// only for the result slices. Results are written into per-shot slots
+// per-graph UnionFind scratch across submissions (epoch-stamped node
+// records and a dirty-edge list make reuse free), so a sustained stream
+// of windows pays allocation only for the result slices. Results are written into per-shot slots
 // in submission order, which makes every batch's output bit-identical
 // for any worker count, scheduling, or interleaving with other
 // sessions' batches — the same determinism contract as the rest of the

@@ -9,36 +9,26 @@ package decoder
 // A UnionFind holds per-graph scratch arrays and is NOT safe for
 // concurrent use; give each worker its own instance (they can all share
 // one *Graph). Scratch is recycled across calls with epoch stamps, so a
-// Decode touches only the arrays' used entries; per-node cluster state is
-// packed into one 16-byte record so the pointer-chasing hot loops touch
-// one cache line per node.
+// Decode touches only the arrays' used entries. All per-node state —
+// cluster, boundary list, member list, erasure CSR range, extent and
+// extraction stamp — is packed into one 64-byte record, so the
+// pointer-chasing hot loops touch one cache line per node.
 type UnionFind struct {
 	g *Graph
 
-	// node[v] is all cluster state of node v. stamp encodes the epoch the
-	// record is valid for (2·epoch when touched, 2·epoch+1 once visited
-	// by the peeling pass). flags bit 0 is the cluster defect parity (at
-	// roots), bit 1 the node's live defect flag during peeling, bit 2 the
-	// grounded flag (at roots): the cluster contains an open-boundary
-	// node, which absorbs its parity, so it never grows.
+	// node[v] is all state of node v (see ufNode).
 	node []ufNode
 
-	// Edge growth state: support counts half-steps of growth; an edge of
-	// weight w is fully grown (in the erasure) at support 2w, so
-	// unit-weight graphs keep the classic 0→1→2 progression and heavier
-	// edges take proportionally more sweeps to cross. Kept deliberately
+	// Edge growth state: rem[e] counts the half-steps of growth edge e
+	// still needs before it is fully grown (in the erasure), starting from
+	// its target 2·weight, with bit 15 (untouched) set while the edge has
+	// had no support this decode. Zero means fully grown. Kept deliberately
 	// narrow — two bytes per edge — so the random-access loads of the
 	// growth hot loop stay cache-resident; edges that gained support are
-	// listed in dirty and zeroed at the start of the next decode instead
+	// listed in dirty and restored at the start of the next decode instead
 	// of being epoch-stamped.
-	sup   []uint16
+	rem   []uint16
 	dirty []int32
-
-	// uni is the shared full-support target when every edge of the graph
-	// has the same weight (the common case: p = q collapses to a
-	// unit-weight graph), letting the growth loop skip the per-edge
-	// target load. Zero on mixed-weight graphs.
-	uni uint16
 
 	// sweeps counts the growth sweeps of the last Decode; a pure-erasure
 	// syndrome (every defect inside an even-parity erased component)
@@ -47,41 +37,17 @@ type UnionFind struct {
 
 	// Boundary lists: cluster members that may still have ungrown
 	// incident edges, kept as arena linked lists headed at the root
-	// (head, tail), so a union concatenates in O(1).
-	bndHead []int32
-	bndTail []int32
-	bndNode []int32
-	bndNext []int32
+	// (ufNode.bndHead/bndTail), so a union concatenates in O(1).
+	bnd []bndEntry
 
 	// Erasure adjacency, in CSR form rebuilt at peel time: allGrown
-	// collects every fully-grown edge in completion order, eraDeg counts
-	// per-node incidences as they complete (valid when eraSeen holds the
-	// epoch), and two scatter passes lay the adjacency out contiguously
-	// in csrEdge/csrNode — so peeling walks exactly the grown region in
-	// cache order and never rescans graph adjacency.
-	eraSeen  []uint32
-	eraDeg   []int32
-	eraStart []int32
-	allGrown []int32
-	csrEdge  []int32
-	csrNode  []int32
-
-	// Per-root extent of the grown region (valid at roots, merged by
-	// union): the smallest and largest node id the cluster has touched.
-	// Extraction's band filter is an O(1) test per root against these,
-	// so a decode with nothing retainable pays nothing per node.
-	minT []int32
-	maxT []int32
-
-	// Intrusive per-cluster member lists (head/tail valid at roots,
-	// next chained through every member, spliced O(1) by union).
-	// Extraction walks exactly the candidate clusters' nodes through
-	// these instead of filtering the full touched log with a find per
-	// node — the difference between O(candidate nodes) and O(window
-	// nodes) per warm decode.
-	memHead []int32
-	memTail []int32
-	memNext []int32
+	// collects every fully-grown edge with its endpoints in completion
+	// order, ufNode.eraDeg counts per-node incidences as they complete,
+	// and two scatter passes lay the adjacency out contiguously in csr —
+	// so peeling walks exactly the grown region in cache order and never
+	// rescans graph adjacency.
+	allGrown []grownEdge
+	csr      []eraSlot
 
 	// Guard support (incremental window decoding): nodes stamped with the
 	// current epoch are barred from growth contact. The first touch of a
@@ -89,27 +55,25 @@ type UnionFind struct {
 	// far endpoint is guarded — flags a conflict and aborts the decode,
 	// recording the guarded node that was hit so the caller can release
 	// just the cached cluster owning it (the warm-start sub-window
-	// re-decode) instead of rebuilding its whole window.
+	// re-decode) instead of rebuilding its whole window. The stamps stay
+	// out of the node records, so testing the far endpoint of a freshly
+	// supported edge does not load that node's record.
 	guardSeen    []uint32
 	guardOn      bool
-	conflict     bool
 	conflictNode int32
 
 	// First-touch log of every node reached this decode; doubles as the
-	// node iteration order for the CSR build and the extraction scatter.
+	// node iteration order for the CSR build.
 	touched []int32
 
-	// Component-extraction scratch: candidate roots, comp index per
-	// root, and per-candidate counts / selection state of the band
-	// filter.
-	compSeen []uint32
-	compOf   []int32
-	cands    []int32
-	ccPairs  [][2]int32
-	cNode    []int32
-	cDef     []int32
-	cCorr    []int32
-	cSel     []int32
+	// Component-extraction scratch: candidate roots, contact pairs, and
+	// per-candidate counts / selection state of the band filter.
+	cands   []int32
+	ccPairs [][2]int32
+	cNode   []int32
+	cDef    []int32
+	cCorr   []int32
+	cSel    []int32
 
 	// Correction edges of the last decode, in peel emit order.
 	corrBuf []int32
@@ -119,49 +83,82 @@ type UnionFind struct {
 	// Reusable worklists.
 	clusters []int32
 	odd      []int32
-	grown    []int32
+	grown    []grownEdge
 	stack    []int32
 	order    []peelStep
 }
 
+// ufNode is one node's whole decoder state, one cache line.
 type ufNode struct {
-	parent int32
-	size   int32
-	stamp  uint32
-	flags  uint32
+	// Cluster: parent link and size (at roots). stamp encodes the epoch
+	// the record is valid for (2·epoch when touched, 2·epoch+1 once
+	// visited by the peeling pass). flags bit 0 is the cluster defect
+	// parity (at roots), bit 1 the node's live defect flag during
+	// peeling, bit 2 the grounded flag (at roots): the cluster contains
+	// an open-boundary node, which absorbs its parity, so it never
+	// grows. Bit 3 marks a root queued on the next sweep's odd list, bit
+	// 4 a seeded defect (survives peeling).
+	parent, size int32
+	stamp, flags uint32
+
+	// Boundary list head and tail (at roots), indices into UnionFind.bnd.
+	bndHead, bndTail int32
+
+	// Intrusive per-cluster member list (head/tail valid at roots, next
+	// chained through every member, spliced O(1) by union). Extraction
+	// walks exactly the candidate clusters' nodes through these instead
+	// of filtering the full touched log with a find per node.
+	memHead, memTail, memNext int32
+
+	// Erasure degree, and the CSR block end once peel has laid it out
+	// (the block is csr[eraStart-eraDeg : eraStart]).
+	eraDeg, eraStart int32
+
+	// Extent of the grown region (valid at roots, merged by union): the
+	// smallest and largest node id the cluster has touched. Extraction's
+	// band filter is an O(1) test per root against these.
+	minT, maxT int32
+
+	// comp holds the epoch the node was an extraction candidate root in,
+	// with compOf its candidate index.
+	comp   uint32
+	compOf int32
+	_      uint32 // pads the record to 64 bytes
+}
+
+// bndEntry is one boundary-list arena cell.
+type bndEntry struct {
+	node, next int32
+}
+
+// eraSlot is one erasure-CSR incidence: a grown edge and its far node.
+type eraSlot struct {
+	edge, node int32
+}
+
+// grownEdge is a fully-grown edge with its endpoints (a = endU, b =
+// endV), so merge and peel never reload the endpoint tables.
+type grownEdge struct {
+	e, a, b int32
 }
 
 type peelStep struct {
 	node, parentEdge, parentNode int32
 }
 
+// untouched flags an edge's rem entry while it has had no support this
+// decode.
+const untouched = 1 << 15
+
 // NewUnionFind returns a decoder instance over g.
 func NewUnionFind(g *Graph) *UnionFind {
 	u := &UnionFind{
-		g:        g,
-		node:     make([]ufNode, g.nodes),
-		sup:      make([]uint16, g.Edges()),
-		bndHead:  make([]int32, g.nodes),
-		bndTail:  make([]int32, g.nodes),
-		eraSeen:  make([]uint32, g.nodes),
-		eraDeg:   make([]int32, g.nodes),
-		eraStart: make([]int32, g.nodes),
-		minT:     make([]int32, g.nodes),
-		maxT:     make([]int32, g.nodes),
-		memHead:  make([]int32, g.nodes),
-		memTail:  make([]int32, g.nodes),
-		memNext:  make([]int32, g.nodes),
+		g:    g,
+		node: make([]ufNode, g.nodes),
+		rem:  make([]uint16, g.Edges()),
 	}
-	if len(g.grow) > 0 {
-		u.uni = uint16(g.grow[0])
-		for _, t := range g.grow {
-			if t > 65535 {
-				panic("decoder: edge weight too large for growth state")
-			}
-			if uint16(t) != u.uni {
-				u.uni = 0
-			}
-		}
+	for e, t := range g.target {
+		u.rem[e] = untouched | t
 	}
 	return u
 }
@@ -250,47 +247,34 @@ func (c *Components) reset() {
 	c.Corr = c.Corr[:0]
 }
 
-// touch initializes node v's cluster state for the current epoch if it
-// has not been seen yet, as a parity-0 singleton with an empty boundary.
-// Open-boundary nodes start (and stay) grounded.
+// touch makes node v a parity-0 singleton cluster for the current
+// epoch, with v itself on its boundary list; open-boundary nodes start
+// (and stay) grounded. The caller has checked that v is untouched.
 func (u *UnionFind) touch(v int32) {
-	if u.node[v].stamp>>1 == u.epoch {
-		return
-	}
-	u.node[v] = ufNode{parent: v, size: 1, stamp: u.epoch << 1}
+	idx := int32(len(u.bnd))
+	u.bnd = append(u.bnd, bndEntry{node: v, next: -1})
+	var flags uint32
 	if u.g.bnd != nil && u.g.bnd[v] {
-		u.node[v].flags = 4
+		flags = 4
 	}
-	u.bndHead[v] = -1
-	u.bndTail[v] = -1
-	u.minT[v] = v
-	u.maxT[v] = v
-	u.memHead[v] = v
-	u.memTail[v] = v
-	u.memNext[v] = -1
+	u.node[v] = ufNode{
+		parent: v, size: 1, stamp: u.epoch << 1, flags: flags,
+		bndHead: idx, bndTail: idx,
+		memHead: v, memTail: v, memNext: -1,
+		minT: v, maxT: v,
+	}
 	u.touched = append(u.touched, v)
+	u.clusters = append(u.clusters, v)
 }
 
 // find returns the root of v's cluster with path compression.
 func (u *UnionFind) find(v int32) int32 {
-	for u.node[v].parent != v {
-		u.node[v].parent = u.node[u.node[v].parent].parent
-		v = u.node[v].parent
+	nd := u.node
+	for nd[v].parent != v {
+		nd[v].parent = nd[nd[v].parent].parent
+		v = nd[v].parent
 	}
 	return v
-}
-
-// pushBoundary appends node w to root r's boundary list.
-func (u *UnionFind) pushBoundary(r, w int32) {
-	u.bndNode = append(u.bndNode, w)
-	u.bndNext = append(u.bndNext, -1)
-	idx := int32(len(u.bndNode)) - 1
-	if u.bndTail[r] < 0 {
-		u.bndHead[r] = idx
-	} else {
-		u.bndNext[u.bndTail[r]] = idx
-	}
-	u.bndTail[r] = idx
 }
 
 // Decode grows clusters around the defects until every cluster holds an
@@ -353,84 +337,79 @@ func (u *UnionFind) DecodeGuarded(defects, erased []int, guard []int32, corr []i
 // scratch is left mid-decode; the next epoch bump invalidates it all).
 func (u *UnionFind) run(defects, erased []int, guard []int32) bool {
 	u.sweeps = 0
-	u.conflict = false
 	u.conflictNode = -1
 	u.corrBuf = u.corrBuf[:0]
 	u.touched = u.touched[:0]
 	u.clusters = u.clusters[:0]
-	// Zero the support the previous decode (including an aborted guarded
-	// one) left behind — touching only the edges it actually grew.
+	g := u.g
+	rem := u.rem
+	// Restore the edges the previous decode (including an aborted guarded
+	// one) gave support — touching only the edges it actually grew.
 	for _, e := range u.dirty {
-		u.sup[e] = 0
+		rem[e] = untouched | g.target[e]
 	}
 	u.dirty = u.dirty[:0]
 	if len(defects) == 0 {
 		return true
 	}
 	u.bumpEpoch()
+	epoch := u.epoch
+	nd := u.node
 	u.guardOn = len(guard) > 0
 	if u.guardOn {
 		if u.guardSeen == nil {
-			u.guardSeen = make([]uint32, u.g.nodes)
+			u.guardSeen = make([]uint32, g.nodes)
 		}
 		for _, v := range guard {
-			u.guardSeen[v] = u.epoch
+			u.guardSeen[v] = epoch
 		}
 	}
 	u.grown = u.grown[:0]
 	u.allGrown = u.allGrown[:0]
-	u.bndNode = u.bndNode[:0]
-	u.bndNext = u.bndNext[:0]
+	u.bnd = u.bnd[:0]
 	for _, d := range defects {
 		v := int32(d)
-		if u.g.bnd != nil && u.g.bnd[v] {
+		if g.bnd != nil && g.bnd[v] {
 			panic("decoder: boundary node cannot be a defect")
 		}
-		if u.guardOn && u.guardSeen[v] == u.epoch {
+		if u.isGuarded(v) {
 			panic("decoder: guarded node cannot be a defect")
 		}
-		u.touch(v)
-		if u.node[v].flags != 0 {
+		if nd[v].stamp>>1 == epoch {
 			panic("decoder: duplicate defect")
 		}
-		u.node[v].flags = 19 // cluster parity odd + live defect + seeded defect (bit 4, survives peel)
-		u.pushBoundary(v, v)
-		u.clusters = append(u.clusters, v)
+		u.touch(v)
+		nd[v].flags = 19 // cluster parity odd + live defect + seeded defect (bit 4, survives peel)
 	}
-	g := u.g
 	// Seed the erasure: every erased edge is fully grown from the start,
 	// its endpoints absorbed and united, exactly as if growth had crossed
 	// it — so the growth loop and the peeling pass need no special cases.
 	for _, e := range erased {
 		ee := int32(e)
-		target := uint16(g.grow[ee])
-		if u.sup[ee] >= target {
+		if rem[ee] == 0 {
 			continue // duplicate erased edge
 		}
-		u.sup[ee] = target
+		rem[ee] = 0
 		u.dirty = append(u.dirty, ee)
 		a, b := g.endU[ee], g.endV[ee]
-		if u.guardOn && (u.guardSeen[a] == u.epoch || u.guardSeen[b] == u.epoch) {
-			u.conflict = true
-			if u.guardSeen[a] == u.epoch {
+		if u.isGuarded(a) || u.isGuarded(b) {
+			if u.isGuarded(a) {
 				u.conflictNode = a
 			} else {
 				u.conflictNode = b
 			}
 			return false
 		}
-		u.eraAdd(ee, a, b)
-		u.absorb(a)
+		u.absorb(a) // cannot conflict: neither endpoint is guarded
 		u.absorb(b)
+		u.eraAdd(grownEdge{ee, a, b})
 		ra, rb := u.find(a), u.find(b)
 		if ra != rb {
 			u.union(ra, rb)
 		}
 	}
-	off, adjE, adjN, growA := g.off, g.adjE, g.adjN, g.grow
-	sup := u.sup
-	uni := u.uni
-	guardOn := u.guardOn
+	off, adj := g.off, g.adj
+	guardOn, guardSeen := u.guardOn, u.guardSeen
 	// Collect the initially-odd roots (in first-touch order —
 	// deterministic). Grounded clusters (those holding an open-boundary
 	// node) never count as odd: the boundary absorbs their parity, so
@@ -443,86 +422,97 @@ func (u *UnionFind) run(defects, erased []int, guard []int32) bool {
 	// proportional to the live frontier.
 	u.odd = u.odd[:0]
 	for _, r := range u.clusters {
-		if u.find(r) == r && u.node[r].flags&5 == 1 {
+		if u.find(r) == r && nd[r].flags&5 == 1 {
 			u.odd = append(u.odd, r)
 		}
 	}
+	// The first pass fuses the leading sweeps no edge can complete in.
+	// Every unerased edge still needs its full target of at least 2·minW
+	// half-steps, and a sweep gives an edge at most two (one per endpoint:
+	// a node sits on at most one boundary list), so sweeps 1…minW−1 merge
+	// nothing and leave the odd list and boundary lists as they were.
+	// Sweeps 1…minW therefore visit the same (node, slot) pairs in the
+	// same order; one pass adding minW half-steps per visit reaches the
+	// state sweep minW would, completing the same edges in the same
+	// order. Later sweeps add one half-step per visit.
+	inc := uint16(g.minW)
 	for len(u.odd) > 0 {
 		// Growth sweep: every ungrown edge incident to an odd cluster's
-		// boundary nodes gains one half-step of support. Edges reaching
+		// boundary nodes gains inc half-steps of support. Edges reaching
 		// full support (2·weight) queue a merge; a node whose incident
 		// edges are all fully grown leaves the boundary for good.
-		u.sweeps++
+		u.sweeps += int(inc)
 		u.grown = u.grown[:0]
+		bnd := u.bnd
 		advanced := false
 		for _, r := range u.odd {
-			u.node[r].flags &^= 8
+			rn := &nd[r]
+			rn.flags &^= 8
 			var keptHead, keptTail int32 = -1, -1
-			for idx := u.bndHead[r]; idx >= 0; {
-				v := u.bndNode[idx]
-				next := u.bndNext[idx]
+			for idx := rn.bndHead; idx >= 0; {
+				v := bnd[idx].node
+				next := bnd[idx].next
 				open := false
-				ae := adjE[off[v]:off[v+1]]
-				for i, e := range ae {
-					target := uni
-					if target == 0 {
-						target = uint16(growA[e])
-					}
-					st := sup[e]
-					if st >= target {
+				for _, s := range adj[off[v]:off[v+1]] {
+					left := rem[s.edge]
+					if left == 0 {
 						continue
 					}
-					if st == 0 {
-						if guardOn && u.guardSeen[adjN[off[v]+int32(i)]] == u.epoch {
+					if left&untouched != 0 {
+						if far := s.far >> 1; guardOn && guardSeen[far] == epoch {
 							// First support on an edge into the guarded
 							// region: the cached cluster on the far side
 							// would have contributed support of its own.
-							u.conflict = true
-							u.conflictNode = adjN[off[v]+int32(i)]
+							// Separate sweeps would have hit it in the
+							// first of the fused ones.
+							u.sweeps -= int(inc) - 1
+							u.conflictNode = far
 							return false
 						}
-						u.dirty = append(u.dirty, e)
+						u.dirty = append(u.dirty, s.edge)
+						left &^= untouched
 					}
-					sup[e] = st + 1
+					left -= inc
+					rem[s.edge] = left
 					advanced = true
-					if st+1 == target {
-						u.grown = append(u.grown, e)
-					} else {
+					if left != 0 {
 						open = true
+					} else if s.far&1 == 0 {
+						u.grown = append(u.grown, grownEdge{s.edge, v, s.far >> 1})
+					} else {
+						u.grown = append(u.grown, grownEdge{s.edge, s.far >> 1, v})
 					}
 				}
 				if open {
 					if keptTail < 0 {
 						keptHead = idx
 					} else {
-						u.bndNext[keptTail] = idx
+						bnd[keptTail].next = idx
 					}
 					keptTail = idx
-					u.bndNext[idx] = -1
+					bnd[idx].next = -1
 				}
 				idx = next
 			}
-			u.bndHead[r] = keptHead
-			u.bndTail[r] = keptTail
+			rn.bndHead, rn.bndTail = keptHead, keptTail
 		}
 		if !advanced {
 			// Cannot happen for a valid syndrome on a connected graph:
 			// an odd cluster always has a boundary to grow.
 			panic("decoder: growth stalled with odd clusters")
 		}
-		// Merge sweep, in grow order: record the erasure adjacency and
-		// unite the endpoint clusters.
-		for _, e := range u.grown {
-			a, b := g.endU[e], g.endV[e]
-			u.eraAdd(e, a, b)
-			if u.absorb(a) || u.absorb(b) {
+		inc = 1
+		// Merge sweep, in grow order: absorb the endpoints, record the
+		// erasure adjacency and unite the endpoint clusters.
+		for _, ge := range u.grown {
+			if u.absorb(ge.a) || u.absorb(ge.b) {
 				return false
 			}
-			ra, rb := u.find(a), u.find(b)
-			if ra == rb {
-				continue
+			u.eraAdd(ge)
+			ra, rb := u.find(ge.a), u.find(ge.b)
+			if ra != rb {
+				u.union(ra, rb)
 			}
-			u.union(ra, rb)
 		}
 		// Re-derive the odd roots from the previous list (see above),
 		// deduplicating merged roots with flag bit 3 — set while a root
@@ -530,8 +520,8 @@ func (u *UnionFind) run(defects, erased []int, guard []int32) bool {
 		next := u.odd[:0]
 		for _, r := range u.odd {
 			rr := u.find(r)
-			if u.node[rr].flags&13 == 1 {
-				u.node[rr].flags |= 8
+			if nd[rr].flags&13 == 1 {
+				nd[rr].flags |= 8
 				next = append(next, rr)
 			}
 		}
@@ -541,20 +531,18 @@ func (u *UnionFind) run(defects, erased []int, guard []int32) bool {
 	return true
 }
 
-// eraAdd records fully-grown edge e: its endpoints' erasure degrees for
-// the CSR build at peel time, and the edge itself in completion order.
-func (u *UnionFind) eraAdd(e, a, b int32) {
-	if u.eraSeen[a] != u.epoch {
-		u.eraSeen[a] = u.epoch
-		u.eraDeg[a] = 0
-	}
-	u.eraDeg[a]++
-	if u.eraSeen[b] != u.epoch {
-		u.eraSeen[b] = u.epoch
-		u.eraDeg[b] = 0
-	}
-	u.eraDeg[b]++
-	u.allGrown = append(u.allGrown, e)
+// isGuarded reports whether node v is guarded in the current decode.
+func (u *UnionFind) isGuarded(v int32) bool {
+	return u.guardOn && u.guardSeen[v] == u.epoch
+}
+
+// eraAdd records fully-grown edge ge, whose endpoints are touched: their
+// erasure degrees for the CSR build at peel time, and the edge itself in
+// completion order.
+func (u *UnionFind) eraAdd(ge grownEdge) {
+	u.node[ge.a].eraDeg++
+	u.node[ge.b].eraDeg++
+	u.allGrown = append(u.allGrown, ge)
 }
 
 // absorb makes sure node v belongs to some cluster: a node first reached
@@ -562,42 +550,42 @@ func (u *UnionFind) eraAdd(e, a, b int32) {
 // following union folds it into the grower. It reports a guard conflict
 // on the first contact with a guarded node.
 func (u *UnionFind) absorb(v int32) bool {
-	if u.node[v].stamp>>1 == u.epoch {
+	n := &u.node[v]
+	if n.stamp>>1 == u.epoch {
 		return false
 	}
-	if u.guardOn && u.guardSeen[v] == u.epoch {
-		u.conflict = true
+	if u.isGuarded(v) {
 		u.conflictNode = v
 		return true
 	}
 	u.touch(v)
-	u.pushBoundary(v, v)
-	u.clusters = append(u.clusters, v)
 	return false
 }
 
 // union merges the clusters rooted at ra and rb (by size, ties to the
 // smaller id), adding parities (grounded flags OR), merging grown-region
-// extents, and splicing boundary lists in O(1).
+// extents, and splicing member and boundary lists in O(1).
 func (u *UnionFind) union(ra, rb int32) {
-	if u.node[ra].size < u.node[rb].size || (u.node[ra].size == u.node[rb].size && rb < ra) {
+	a, b := &u.node[ra], &u.node[rb]
+	if a.size < b.size || (a.size == b.size && rb < ra) {
 		ra, rb = rb, ra
+		a, b = b, a
 	}
-	u.node[rb].parent = ra
-	u.node[ra].size += u.node[rb].size
-	u.node[ra].flags ^= u.node[rb].flags & 1
-	u.node[ra].flags |= u.node[rb].flags & 4
-	u.minT[ra] = min(u.minT[ra], u.minT[rb])
-	u.maxT[ra] = max(u.maxT[ra], u.maxT[rb])
-	u.memNext[u.memTail[ra]] = u.memHead[rb]
-	u.memTail[ra] = u.memTail[rb]
-	if u.bndHead[rb] >= 0 {
-		if u.bndTail[ra] < 0 {
-			u.bndHead[ra] = u.bndHead[rb]
+	b.parent = ra
+	a.size += b.size
+	a.flags ^= b.flags & 1
+	a.flags |= b.flags & 4
+	a.minT = min(a.minT, b.minT)
+	a.maxT = max(a.maxT, b.maxT)
+	u.node[a.memTail].memNext = b.memHead
+	a.memTail = b.memTail
+	if b.bndHead >= 0 {
+		if a.bndTail < 0 {
+			a.bndHead = b.bndHead
 		} else {
-			u.bndNext[u.bndTail[ra]] = u.bndHead[rb]
+			u.bnd[a.bndTail].next = b.bndHead
 		}
-		u.bndTail[ra] = u.bndTail[rb]
+		a.bndTail = b.bndTail
 	}
 }
 
@@ -609,31 +597,27 @@ func (u *UnionFind) union(ra, rb int32) {
 // at an open-boundary node, so any unpaired defect drains onto the
 // boundary and is absorbed there. Correction edges land in u.corrBuf.
 func (u *UnionFind) peel(defects []int) {
-	g := u.g
+	nd := u.node
 	// CSR build: offsets in first-touch node order, then one scatter
 	// pass over the grown edges (eraStart ends one past each node's
-	// block; the block start is eraStart[v]-eraDeg[v]).
+	// block; the block start is eraStart-eraDeg).
 	pos := int32(0)
 	for _, v := range u.touched {
-		if u.eraSeen[v] == u.epoch {
-			u.eraStart[v] = pos
-			pos += u.eraDeg[v]
-		}
+		nd[v].eraStart = pos
+		pos += nd[v].eraDeg
 	}
 	n := int(pos)
-	if cap(u.csrEdge) < n {
-		u.csrEdge = make([]int32, n)
-		u.csrNode = make([]int32, n)
+	if cap(u.csr) < n {
+		u.csr = make([]eraSlot, n)
 	} else {
-		u.csrEdge = u.csrEdge[:n]
-		u.csrNode = u.csrNode[:n]
+		u.csr = u.csr[:n]
 	}
-	for _, e := range u.allGrown {
-		a, b := g.endU[e], g.endV[e]
-		u.csrEdge[u.eraStart[a]], u.csrNode[u.eraStart[a]] = e, b
-		u.eraStart[a]++
-		u.csrEdge[u.eraStart[b]], u.csrNode[u.eraStart[b]] = e, a
-		u.eraStart[b]++
+	for _, ge := range u.allGrown {
+		a, b := &nd[ge.a], &nd[ge.b]
+		u.csr[a.eraStart] = eraSlot{edge: ge.e, node: ge.b}
+		a.eraStart++
+		u.csr[b.eraStart] = eraSlot{edge: ge.e, node: ge.a}
+		b.eraStart++
 	}
 	visited := u.epoch<<1 | 1
 	u.order = u.order[:0]
@@ -641,7 +625,7 @@ func (u *UnionFind) peel(defects []int) {
 	// ascending node order — deterministic), so every grounded cluster's
 	// DFS root is a boundary node.
 	for _, b := range u.g.bndList {
-		if u.eraSeen[b] == u.epoch {
+		if nd[b].stamp>>1 == u.epoch && nd[b].eraDeg > 0 {
 			u.peelRoot(b, visited)
 		}
 	}
@@ -650,38 +634,38 @@ func (u *UnionFind) peel(defects []int) {
 	}
 	for i := len(u.order) - 1; i >= 0; i-- {
 		step := u.order[i]
-		if step.parentEdge < 0 || u.node[step.node].flags&2 == 0 {
+		if step.parentEdge < 0 || nd[step.node].flags&2 == 0 {
 			continue
 		}
 		u.corrBuf = append(u.corrBuf, step.parentEdge)
-		u.node[step.node].flags &^= 2
-		u.node[step.parentNode].flags ^= 2
+		nd[step.node].flags &^= 2
+		nd[step.parentNode].flags ^= 2
 	}
 }
 
 // peelRoot grows one DFS tree of the erasure forest from root (skipped
-// if the root was already claimed by an earlier tree).
+// if the root was already claimed by an earlier tree). Every node it
+// reaches is touched, so its CSR block is valid (empty when the node
+// has no grown edge).
 func (u *UnionFind) peelRoot(root int32, visited uint32) {
-	if u.node[root].stamp == visited {
+	nd := u.node
+	if nd[root].stamp == visited {
 		return
 	}
-	u.node[root].stamp = visited
+	nd[root].stamp = visited
 	u.stack = append(u.stack[:0], root)
 	u.order = append(u.order, peelStep{node: root, parentEdge: -1, parentNode: -1})
 	for len(u.stack) > 0 {
 		v := u.stack[len(u.stack)-1]
 		u.stack = u.stack[:len(u.stack)-1]
-		if u.eraSeen[v] != u.epoch {
-			continue
-		}
-		end := u.eraStart[v]
-		for i := end - u.eraDeg[v]; i < end; i++ {
-			w := u.csrNode[i]
-			if u.node[w].stamp == visited {
+		end := nd[v].eraStart
+		for _, s := range u.csr[end-nd[v].eraDeg : end] {
+			w := s.node
+			if nd[w].stamp == visited {
 				continue
 			}
-			u.node[w].stamp = visited
-			u.order = append(u.order, peelStep{node: w, parentEdge: u.csrEdge[i], parentNode: v})
+			nd[w].stamp = visited
+			u.order = append(u.order, peelStep{node: w, parentEdge: s.edge, parentNode: v})
 			u.stack = append(u.stack, w)
 		}
 	}
@@ -709,21 +693,18 @@ func (u *UnionFind) peelRoot(root int32, visited uint32) {
 // candidate–candidate pairs cascade to a fixpoint (order-independent:
 // drops are monotone).
 func (u *UnionFind) extract(c *Components) {
+	nd := u.node
 	u.cands = u.cands[:0]
 	for _, r := range u.clusters {
 		if u.find(r) != r {
 			continue
 		}
-		if u.node[r].flags&4 == 0 && u.minT[r] >= c.Lo && u.maxT[r] < c.Hi {
+		if nd[r].flags&4 == 0 && nd[r].minT >= c.Lo && nd[r].maxT < c.Hi {
 			u.cands = append(u.cands, r)
 		}
 	}
 	if len(u.cands) == 0 {
 		return
-	}
-	if u.compSeen == nil {
-		u.compSeen = make([]uint32, u.g.nodes)
-		u.compOf = make([]int32, u.g.nodes)
 	}
 	n := len(u.cands)
 	if cap(u.cDef) < n {
@@ -738,16 +719,16 @@ func (u *UnionFind) extract(c *Components) {
 		u.cSel = u.cSel[:n]
 	}
 	for i, r := range u.cands {
-		u.compSeen[r] = u.epoch
-		u.compOf[r] = int32(i)
+		nd[r].comp = u.epoch
+		nd[r].compOf = int32(i)
 		u.cCorr[i] = 0
 	}
 	// Per-candidate correction counts (a correction edge belongs to its
 	// endpoint's cluster; peel only emits edges inside the erasure, so
 	// both endpoints agree).
 	for _, e := range u.corrBuf {
-		if r := u.find(u.g.endU[e]); u.compSeen[r] == u.epoch {
-			u.cCorr[u.compOf[r]]++
+		if r := u.find(u.g.endU[e]); nd[r].comp == u.epoch {
+			u.cCorr[nd[r].compOf]++
 		}
 	}
 	// Streaming selection in candidate order: the O(1) budget test on
@@ -764,32 +745,31 @@ func (u *UnionFind) extract(c *Components) {
 	nodeCap, defCap, corrCap := int32(cap(c.Node)), int32(cap(c.Def)), int32(cap(c.Corr))
 	for i, r := range u.cands {
 		u.cSel[i] = -1
-		sz := u.node[r].size
+		sz := nd[r].size
 		if m+2 > cap(c.NodeOff) || nodes+sz > nodeCap || corrs+u.cCorr[i] > corrCap {
-			u.compSeen[r] = u.epoch - 1
+			nd[r].comp = u.epoch - 1
 			continue
 		}
 		dfs := int32(0)
 		drop := false
 	scan:
-		for v := u.memHead[r]; v >= 0; v = u.memNext[v] {
-			if u.node[v].flags&16 != 0 {
+		for v := nd[r].memHead; v >= 0; v = nd[v].memNext {
+			if nd[v].flags&16 != 0 {
 				dfs++
 			}
-			ae := g.adjE[g.off[v]:g.off[v+1]]
-			for j, e := range ae {
-				if u.sup[e] == 0 {
+			for _, s := range g.adj[g.off[v]:g.off[v+1]] {
+				if u.rem[s.edge]&untouched != 0 {
 					continue
 				}
-				nb := g.adjN[g.off[v]+int32(j)]
-				if u.node[nb].stamp>>1 != u.epoch {
+				nb := s.far >> 1
+				if nd[nb].stamp>>1 != u.epoch {
 					continue // support into free space, not cluster contact
 				}
 				rn := u.find(nb)
 				if rn == r {
 					continue
 				}
-				if u.compSeen[rn] == u.epoch {
+				if nd[rn].comp == u.epoch {
 					u.ccPairs = append(u.ccPairs, [2]int32{r, rn})
 					continue
 				}
@@ -798,7 +778,7 @@ func (u *UnionFind) extract(c *Components) {
 			}
 		}
 		if drop || defs+dfs > defCap {
-			u.compSeen[r] = u.epoch - 1
+			nd[r].comp = u.epoch - 1
 			continue
 		}
 		u.cDef[i] = dfs
@@ -820,14 +800,14 @@ func (u *UnionFind) extract(c *Components) {
 	for changed := true; changed; {
 		changed = false
 		for _, p := range u.ccPairs {
-			ca, cb := u.compSeen[p[0]] == u.epoch, u.compSeen[p[1]] == u.epoch
+			ca, cb := nd[p[0]].comp == u.epoch, nd[p[1]].comp == u.epoch
 			if ca == cb {
 				continue
 			}
 			if ca {
-				u.compSeen[p[0]] = u.epoch - 1
+				nd[p[0]].comp = u.epoch - 1
 			} else {
-				u.compSeen[p[1]] = u.epoch - 1
+				nd[p[1]].comp = u.epoch - 1
 			}
 			changed = true
 			dropped = true
@@ -839,7 +819,7 @@ func (u *UnionFind) extract(c *Components) {
 			if u.cSel[i] < 0 {
 				continue
 			}
-			if u.compSeen[r] != u.epoch {
+			if nd[r].comp != u.epoch {
 				u.cSel[i] = -1
 				continue
 			}
@@ -862,7 +842,7 @@ func (u *UnionFind) extract(c *Components) {
 		if s < 0 {
 			continue
 		}
-		c.NodeOff = append(c.NodeOff, c.NodeOff[s]+u.node[r].size)
+		c.NodeOff = append(c.NodeOff, c.NodeOff[s]+nd[r].size)
 		c.DefOff = append(c.DefOff, c.DefOff[s]+u.cDef[i])
 		c.CorrOff = append(c.CorrOff, c.CorrOff[s]+u.cCorr[i])
 		u.cNode[i] = c.NodeOff[s]
@@ -876,10 +856,10 @@ func (u *UnionFind) extract(c *Components) {
 		if u.cSel[i] < 0 {
 			continue
 		}
-		for v := u.memHead[r]; v >= 0; v = u.memNext[v] {
+		for v := nd[r].memHead; v >= 0; v = nd[v].memNext {
 			c.Node[u.cNode[i]] = v
 			u.cNode[i]++
-			if u.node[v].flags&16 != 0 {
+			if nd[v].flags&16 != 0 {
 				c.Def[u.cDef[i]] = v
 				u.cDef[i]++
 			}
@@ -887,31 +867,23 @@ func (u *UnionFind) extract(c *Components) {
 	}
 	for _, e := range u.corrBuf {
 		r := u.find(u.g.endU[e])
-		if u.compSeen[r] != u.epoch {
+		if nd[r].comp != u.epoch {
 			continue
 		}
-		if i := u.compOf[r]; u.cSel[i] >= 0 {
+		if i := nd[r].compOf; u.cSel[i] >= 0 {
 			c.Corr[u.cCorr[i]] = e
 			u.cCorr[i]++
 		}
 	}
 }
 
-// bumpEpoch advances the scratch epoch, clearing the stamp arrays on
+// bumpEpoch advances the scratch epoch, clearing the node records on
 // wraparound of the 30-bit epoch so stale stamps can never collide.
 func (u *UnionFind) bumpEpoch() {
 	u.epoch++
 	if u.epoch >= 1<<30 {
-		for i := range u.node {
-			u.node[i].stamp = 0
-		}
-		clear(u.eraSeen)
-		if u.guardSeen != nil {
-			clear(u.guardSeen)
-		}
-		if u.compSeen != nil {
-			clear(u.compSeen)
-		}
+		clear(u.node)
+		clear(u.guardSeen)
 		u.epoch = 1
 	}
 }

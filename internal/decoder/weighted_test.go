@@ -269,6 +269,27 @@ func TestPrunedMatchesDenseWeight(t *testing.T) {
 	}
 }
 
+// TestWeightBoundCheckedAtConstruction: a weight past MaxEdgeWeight is
+// rejected when the graph is built, not inside a later decode; MaxEdgeWeight
+// itself decodes.
+func TestWeightBoundCheckedAtConstruction(t *testing.T) {
+	ends := [][2]int32{{0, 1}, {1, 2}}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a weight above MaxEdgeWeight must panic at construction")
+			}
+		}()
+		NewWeightedGraph(3, ends, []int32{1, MaxEdgeWeight + 1})
+	}()
+	g := NewWeightedGraph(3, ends, []int32{MaxEdgeWeight, MaxEdgeWeight})
+	var got []int
+	NewUnionFind(g).Decode([]int{0, 2}, func(e int) { got = append(got, e) })
+	if len(got) != 2 {
+		t.Fatalf("MaxEdgeWeight path decoded to %v, want both edges", got)
+	}
+}
+
 // TestPrunedDeterministic: pruning (including its repair rounds) stays a
 // pure function of the weight table and cutoff.
 func TestPrunedDeterministic(t *testing.T) {

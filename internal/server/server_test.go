@@ -514,6 +514,55 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
+// TestServerSurvivesOversizedWeight: a session whose edge weight is past
+// decoder.MaxEdgeWeight is rejected at Open — it used to construct and then
+// panic inside a shared decode worker, killing the process — and a
+// session already streaming on the same server keeps serving,
+// committing frames bit-identical to a standalone stream.
+func TestServerSurvivesOversizedWeight(t *testing.T) {
+	const l, lanes, rounds, seed = 4, 16, 24, 7950
+	P := noise.Uniform(0.004)
+	cfg := CircuitLevel(l, lanes, P)
+	refX, refZ, _ := standaloneFrames(t, cfg, P, 0, 0, rounds, seed, true)
+
+	srv := New(Config{Workers: 2})
+	defer srv.Shutdown()
+	s, err := srv.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := newFeed(cfg, P, 0, 0, seed)
+	layerX := bits.NewVecs(l*l, lanes)
+	layerZ := bits.NewVecs(l*l, lanes)
+	for r := 0; r < rounds; r++ {
+		if r == rounds/2 {
+			bad := cfg
+			bad.WH = 40000
+			if _, err := srv.Open(bad); err == nil {
+				t.Fatal("session with WH=40000 accepted")
+			}
+		}
+		src.NextLayers(layerX, layerZ)
+		if err := s.Submit(layerX, layerZ); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.CloseLayers(layerX, layerZ)
+	if err := s.CloseWith(layerX, layerZ); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Finished || res.Committed != rounds {
+		t.Fatalf("good session incomplete after the rejected Open: %+v", res)
+	}
+	if !framesEqual(res.FramesX, res.FramesZ, refX, refZ) {
+		t.Fatal("good session's frames differ from standalone stream")
+	}
+}
+
 // TestServeConnWire: the framed ingestion path end to end over an
 // in-memory transport — syndrome layers in, committed frames out,
 // bit-identical to the standalone stream.

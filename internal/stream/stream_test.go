@@ -364,6 +364,17 @@ func TestWindowValidation(t *testing.T) {
 	if _, err := NewCircuitWindow(4, 4, 2, 1, 1, 0); err == nil {
 		t.Error("circuit window with wd=0 accepted")
 	}
+	// A weight past the decoder's growth-state bound used to construct
+	// and then panic inside a decode worker on the first slide.
+	if _, err := NewCircuitSession(4, 8, 4, 40000, 1, 1); err == nil {
+		t.Error("circuit session with wh=40000 accepted")
+	}
+	if _, err := NewCircuitWindow(4, 8, 4, 1, 1, decoder.MaxEdgeWeight+1); err == nil {
+		t.Error("circuit window with wd above decoder.MaxEdgeWeight accepted")
+	}
+	if _, err := NewWindow(4, 8, 4, 1, decoder.MaxEdgeWeight); err != nil {
+		t.Errorf("window with wv = decoder.MaxEdgeWeight rejected: %v", err)
+	}
 	if _, err := Memory(4, 0, 0.01, 0.01, 4, 2, 100, 1); err == nil {
 		t.Error("Memory with zero rounds accepted")
 	}

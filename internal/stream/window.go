@@ -105,6 +105,9 @@ func newWindow(code surface.Code, w, commit, wh, wv, wd int) (*Window, error) {
 	if wh < 1 || wv < 1 {
 		return nil, fmt.Errorf("stream: edge weights must be positive (got wh=%d, wv=%d)", wh, wv)
 	}
+	if wh > decoder.MaxEdgeWeight || wv > decoder.MaxEdgeWeight || wd > decoder.MaxEdgeWeight {
+		return nil, fmt.Errorf("stream: edge weights must not exceed %d (got wh=%d, wv=%d, wd=%d)", decoder.MaxEdgeWeight, wh, wv, wd)
+	}
 	nc := code.Checks()
 	win := &Window{
 		L: code.Distance(), W: w, Commit: commit, WH: wh, WV: wv, WD: wd,
