@@ -699,7 +699,7 @@ func TestEmitToricBenchJSON(t *testing.T) {
 		rounds := 4 * l
 		opts := spacetime.DecodeOptions{ErasureAware: true, Correlated: true}
 		ns := measure(func() {
-			if _, err := stream.CircuitMemoryOpts(l, rounds, P, w, c, stShots, 7, opts); err != nil {
+			if _, err := stream.CodeCircuitMemoryOpts(toric.Cached(l), rounds, P, w, c, stShots, 7, opts); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -725,7 +725,7 @@ func TestEmitToricBenchJSON(t *testing.T) {
 			s.BatchMemory(rounds, 0.025, 0.025, stShots, frame.NewAggregateSampler(7, 0))
 		})
 		d := s.NewDecoder(stShots)
-		src := spacetime.NewLayerSource(l, 0.025, 0.025, stShots, frame.NewAggregateSampler(7, 1))
+		src := surface.NewLayerSource(toric.Cached(l), 0.025, 0.025, stShots, frame.NewAggregateSampler(7, 1))
 		nc := l * l
 		layerX := bits.NewVecs(nc, stShots)
 		layerZ := bits.NewVecs(nc, stShots)

@@ -616,7 +616,7 @@ func cmdStream(args []string) {
 		for j, l := range ls {
 			seed++
 			w, c := winOf(l)
-			r, err := stream.Memory(l, roundsOf(l), p, qOf(p), w, c, *samples, seed)
+			r, err := stream.CodeMemory(toric.Cached(l), roundsOf(l), p, qOf(p), w, c, *samples, seed)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "%v\n", err)
 				os.Exit(2)
@@ -743,7 +743,7 @@ func cmdCircuit(args []string) {
 			if needsOpts {
 				r, err = stream.CodeCircuitMemoryOpts(codeOf(l), rounds, P, *window, *commit, *samples, seed, opts)
 			} else {
-				r, err = stream.CircuitMemory(l, rounds, P, *window, *commit, *samples, seed)
+				r, err = stream.CodeCircuitMemory(codeOf(l), rounds, P, *window, *commit, *samples, seed)
 			}
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "circuit: %v\n", err)
@@ -948,7 +948,7 @@ func serveFeed(cfg server.SessionConfig, p float64, seed uint64) spacetime.Layer
 	if cfg.WD > 0 {
 		return spacetime.NewCircuitLayerSource(cfg.L, noise.Uniform(p), cfg.Lanes, smp)
 	}
-	return spacetime.NewLayerSource(cfg.L, p, p, cfg.Lanes, smp)
+	return surface.NewLayerSource(toric.Cached(cfg.L), p, p, cfg.Lanes, smp)
 }
 
 func cmdServe(args []string) {

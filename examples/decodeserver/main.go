@@ -20,6 +20,8 @@ import (
 	"ftqc/internal/noise"
 	"ftqc/internal/server"
 	"ftqc/internal/spacetime"
+	"ftqc/internal/surface"
+	"ftqc/internal/toric"
 )
 
 func main() {
@@ -35,9 +37,9 @@ func main() {
 	}
 	tenants := []tenant{
 		{"phenom L=4 p=2%", server.Phenomenological(4, 64, 0.02, 0.02),
-			spacetime.NewLayerSource(4, 0.02, 0.02, 64, frame.NewAggregateSampler(11, 5))},
+			surface.NewLayerSource(toric.Cached(4), 0.02, 0.02, 64, frame.NewAggregateSampler(11, 5))},
 		{"phenom L=6 p=1%", server.Phenomenological(6, 64, 0.01, 0.01),
-			spacetime.NewLayerSource(6, 0.01, 0.01, 64, frame.NewAggregateSampler(12, 5))},
+			surface.NewLayerSource(toric.Cached(6), 0.01, 0.01, 64, frame.NewAggregateSampler(12, 5))},
 		{"circuit L=4 eps=0.3%", server.CircuitLevel(4, 64, noise.Uniform(0.003)),
 			spacetime.NewCircuitLayerSource(4, noise.Uniform(0.003), 64, frame.NewAggregateSampler(13, 5))},
 		{"circuit L=6 eps=0.2%", server.CircuitLevel(6, 64, noise.Uniform(0.002)),
@@ -92,7 +94,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	src := spacetime.NewLayerSource(4, 0.06, 0.06, 64, frame.NewAggregateSampler(15, 5))
+	src := surface.NewLayerSource(toric.Cached(4), 0.06, 0.06, 64, frame.NewAggregateSampler(15, 5))
 	layerX := bits.NewVecs(16, 64)
 	layerZ := bits.NewVecs(16, 64)
 	for r := 0; r < 64; r++ {

@@ -51,16 +51,16 @@
 // SustainedThreshold.
 //
 // Circuit-level syndrome extraction (the regime the paper's realistic
-// threshold estimates assume) is the internal/extract subsystem: the
-// actual extraction circuit — ancilla per check, PrepZ/PrepX, four
-// CNOTs in a fixed schedule, MeasZ/MeasX — runs on the batch frame
-// engine with faults at every location. Mid-round CNOT faults produce
-// correlated diagonal space-time defect pairs and ancilla hooks
-// propagate multi-qubit errors, so the decoding volumes gain a third
-// (diagonal) edge class with circuit-derived LLR weights, priced
-// exactly by the blossom matcher through a precomputed circuit metric
-// (CircuitMemory, CircuitSustainedThreshold — the measured crossing
-// sits well below the phenomenological one).
+// threshold estimates assume) is surface.CircuitSource: the actual
+// extraction circuit of any surface code — ancilla per check,
+// PrepZ/PrepX, CNOTs in the code's schedule, MeasZ/MeasX — runs on the
+// batch frame engine with faults at every location. Mid-round CNOT
+// faults produce correlated diagonal space-time defect pairs and
+// ancilla hooks propagate multi-qubit errors, so the decoding volumes
+// gain a third (diagonal) edge class with circuit-derived LLR weights,
+// priced exactly by the blossom matcher through a precomputed circuit
+// metric (CircuitMemory, CircuitSustainedThreshold — the measured
+// crossing sits well below the phenomenological one).
 //
 // Sustained operation — decoding forever in constant memory — is the
 // internal/stream subsystem: difference layers decode through a
@@ -358,16 +358,25 @@ func ErasedSpacetimeMemory(l, rounds int, p, q, pe, qe float64, samples int, see
 	return spacetime.ErasedMemory(l, rounds, p, q, pe, qe, samples, seed)
 }
 
-// Circuit-level syndrome extraction (internal/extract + the diagonal-
-// edge decoding volumes of internal/spacetime).
+// Circuit-level syndrome extraction (surface.CircuitSource + the
+// diagonal-edge decoding volumes of internal/spacetime).
 type (
-	// CircuitLayerSource runs the explicit extraction circuit — one
-	// ancilla per plaquette and per star, PrepZ/PrepX, four CNOTs in a
-	// fixed schedule, MeasZ/MeasX — on the batch frame engine with
+	// CircuitLayerSource runs the explicit extraction circuit of any
+	// surface code — one ancilla per check, PrepZ/PrepX, CNOTs in the
+	// code's schedule, MeasZ/MeasX — on the batch frame engine with
 	// faults at every location, emitting difference-syndrome layers
 	// behind the same contract as the phenomenological source.
 	CircuitLayerSource = spacetime.CircuitLayerSource
 )
+
+// toricCode is ToricCode for the error-returning entry points: L < 2
+// is an error there, never a panic.
+func toricCode(l int) (SurfaceCode, error) {
+	if l < 2 {
+		return nil, fmt.Errorf("ftqc: toric lattice distance must be at least 2 (got L=%d)", l)
+	}
+	return toric.Cached(l), nil
+}
 
 // CircuitMemory runs the circuit-level noisy-extraction toric memory at
 // a uniform per-location error rate ε (every preparation, CNOT,
@@ -415,7 +424,11 @@ type (
 // are constructor errors; a leakage-configured run is never silently
 // decoded as if leak-free.
 func CircuitMemoryOpts(l, rounds int, P NoiseParams, samples int, seed uint64, opts CircuitDecodeOptions) (SpacetimeResult, error) {
-	return spacetime.CircuitMemoryOpts(l, rounds, P, samples, seed, opts)
+	code, err := toricCode(l)
+	if err != nil {
+		return SpacetimeResult{}, err
+	}
+	return spacetime.CodeCircuitMemoryOpts(code, rounds, P, samples, seed, opts)
 }
 
 // SurfaceCircuitMemoryOpts is CircuitMemoryOpts for any surface code —
@@ -432,7 +445,11 @@ func SurfaceCircuitMemoryOpts(c SurfaceCode, rounds int, P NoiseParams, samples 
 // round by round, and correlated runs reprice the dual window each
 // slide. With W ≥ rounds it reproduces CircuitMemoryOpts bit for bit.
 func StreamingCircuitMemoryOpts(l, rounds int, P NoiseParams, window, commit, samples int, seed uint64, opts CircuitDecodeOptions) (StreamingResult, error) {
-	return stream.CircuitMemoryOpts(l, rounds, P, window, commit, samples, seed, opts)
+	code, err := toricCode(l)
+	if err != nil {
+		return StreamingResult{}, err
+	}
+	return stream.CodeCircuitMemoryOpts(code, rounds, P, window, commit, samples, seed, opts)
 }
 
 // StreamingSurfaceCircuitMemoryOpts is StreamingCircuitMemoryOpts for
@@ -470,7 +487,11 @@ func CircuitSustainedThreshold(l1, l2 int, grid []float64, samples int, seed uin
 // windows decode and commit as they go. It errors on invalid lattice,
 // round, or window parameters instead of panicking mid-decode.
 func StreamingCircuitMemory(l, rounds int, eps float64, samples int, seed uint64) (StreamingResult, error) {
-	return stream.CircuitMemory(l, rounds, noise.Uniform(eps), 0, 0, samples, seed)
+	code, err := toricCode(l)
+	if err != nil {
+		return StreamingResult{}, err
+	}
+	return stream.CodeCircuitMemory(code, rounds, noise.Uniform(eps), 0, 0, samples, seed)
 }
 
 // Streaming windowed decoding (sustained operation).
@@ -493,7 +514,7 @@ type (
 // whole-volume SpacetimeMemory decode bit for bit.
 func StreamingMemory(l, rounds int, p, q float64, samples int, seed uint64) (StreamingResult, error) {
 	w, c := stream.DefaultWindow(l)
-	return stream.Memory(l, rounds, p, q, w, c, samples, seed)
+	return StreamingMemoryWith(l, rounds, p, q, w, c, samples, seed)
 }
 
 // StreamingMemoryWith is StreamingMemory with explicit window-size
@@ -501,7 +522,11 @@ func StreamingMemory(l, rounds int, p, q float64, samples int, seed uint64) (Str
 // per slide (0 picks the defaults). Invalid window shapes (commit not
 // in [1, window-1], window < 2, ...) are reported as errors.
 func StreamingMemoryWith(l, rounds int, p, q float64, window, commit int, samples int, seed uint64) (StreamingResult, error) {
-	return stream.Memory(l, rounds, p, q, window, commit, samples, seed)
+	code, err := toricCode(l)
+	if err != nil {
+		return StreamingResult{}, err
+	}
+	return stream.CodeMemory(code, rounds, p, q, window, commit, samples, seed)
 }
 
 // NewStreamSession builds a streaming decode session (window graphs

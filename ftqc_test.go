@@ -178,6 +178,28 @@ func TestFacadeStreaming(t *testing.T) {
 	if _, err := NewStreamSession(1, 8, 4, 0.02, 0.02); err == nil {
 		t.Fatal("L=1 stream session accepted")
 	}
+	// L < 2 is an error at every error-returning toric entry point, never
+	// a panic.
+	for name, run := range map[string]func() error{
+		"StreamingMemory": func() error { _, err := StreamingMemory(1, 4, 0.02, 0.02, 64, 1); return err },
+		"StreamingMemoryWith": func() error {
+			_, err := StreamingMemoryWith(1, 4, 0.02, 0.02, 4, 2, 64, 1)
+			return err
+		},
+		"StreamingCircuitMemory": func() error { _, err := StreamingCircuitMemory(1, 4, 0.004, 64, 1); return err },
+		"StreamingCircuitMemoryOpts": func() error {
+			_, err := StreamingCircuitMemoryOpts(1, 4, UniformNoise(0.004), 0, 0, 64, 1, CircuitDecodeOptions{})
+			return err
+		},
+		"CircuitMemoryOpts": func() error {
+			_, err := CircuitMemoryOpts(1, 4, UniformNoise(0.004), 64, 1, CircuitDecodeOptions{})
+			return err
+		},
+	} {
+		if run() == nil {
+			t.Errorf("%s accepted L=1", name)
+		}
+	}
 	er := ErasedSpacetimeMemory(4, 3, 0.01, 0.01, 0.08, 0.08, 500, 15)
 	if er.Pe != 0.08 || er.Qe != 0.08 || er.Samples != 500 {
 		t.Fatalf("erased spacetime memory wrong: %+v", er)

@@ -13,6 +13,7 @@ import (
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
 	"ftqc/internal/stream"
+	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
 
@@ -25,7 +26,7 @@ func newFeed(cfg SessionConfig, P noise.Params, p, q float64, seed uint64) space
 	if cfg.WD > 0 {
 		return spacetime.NewCircuitLayerSource(cfg.L, P, cfg.Lanes, smp)
 	}
-	return spacetime.NewLayerSource(cfg.L, p, q, cfg.Lanes, smp)
+	return surface.NewLayerSource(toric.Cached(cfg.L), p, q, cfg.Lanes, smp)
 }
 
 // standaloneFrames drives a private stream.Session over the same draw
@@ -398,7 +399,7 @@ func TestServerChurn(t *testing.T) {
 func TestServerAdaptiveWindow(t *testing.T) {
 	srv := New(Config{Workers: 2})
 	defer srv.Shutdown()
-	run := func(p float64, window int, adapt AdaptConfig) (SessionStats, SessionResult, *spacetime.LayerSource) {
+	run := func(p float64, window int, adapt AdaptConfig) (SessionStats, SessionResult, *surface.LayerSource) {
 		t.Helper()
 		const l, lanes, rounds = 4, 64, 80
 		cfg := Phenomenological(l, lanes, p, p)
@@ -408,7 +409,7 @@ func TestServerAdaptiveWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := spacetime.NewLayerSource(l, p, p, lanes, frame.NewAggregateSampler(7700, uint64(window)))
+		src := surface.NewLayerSource(toric.Cached(l), p, p, lanes, frame.NewAggregateSampler(7700, uint64(window)))
 		nc := l * l
 		layerX := bits.NewVecs(nc, lanes)
 		layerZ := bits.NewVecs(nc, lanes)

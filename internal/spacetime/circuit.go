@@ -2,9 +2,9 @@ package spacetime
 
 // Circuit-level syndrome extraction in the space-time volume.
 //
-// internal/extract runs the actual extraction circuit (ancilla per
-// check, PrepZ/PrepX, four CNOTs in a fixed schedule, MeasZ/MeasX) on
-// the batch frame engine with faults at every location. This file wires
+// surface.CircuitSource runs the actual extraction circuit (ancilla per
+// check, PrepZ/PrepX, CNOTs in the code's schedule, MeasZ/MeasX) on the
+// batch frame engine with faults at every location. This file wires
 // that source into the decoding subsystem: the effective per-edge-class
 // fault probabilities of the circuit model (CircuitProbs), their integer
 // LLR weights (WeightsCircuit), the diagonal-edge decoding volume's
@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"ftqc/internal/bits"
-	"ftqc/internal/extract"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/surface"
@@ -23,15 +22,15 @@ import (
 )
 
 // CircuitLayerSource is the circuit-level extraction source — the
-// drop-in replacement for the phenomenological LayerSource behind the
-// shared LayerFeed contract.
-type CircuitLayerSource = extract.Source
+// drop-in replacement for the phenomenological surface.LayerSource
+// behind the shared LayerFeed contract.
+type CircuitLayerSource = surface.CircuitSource
 
 // NewCircuitLayerSource returns a circuit-level source over the L×L
-// lattice for `lanes` parallel shots under the per-location noise model
-// P, drawing from smp.
+// toric lattice for `lanes` parallel shots under the per-location noise
+// model P, drawing from smp.
 func NewCircuitLayerSource(l int, P noise.Params, lanes int, smp frame.Sampler) *CircuitLayerSource {
-	return extract.NewSource(l, P, lanes, smp)
+	return surface.NewCircuitSource(toric.Cached(l), P, lanes, smp)
 }
 
 // CircuitProbs estimates the per-round effective probabilities of the
@@ -224,7 +223,7 @@ func mod(a, l int) int { return ((a % l) + l) % l }
 func CircuitMemory(l, rounds int, P noise.Params, kind toric.DecoderKind, samples int, seed uint64) Result {
 	v := CachedCircuitVolumeFor(l, rounds, P)
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return v.BatchMemoryFrom(extract.NewSource(l, P, lanes, smp), kind)
+		return v.BatchMemoryFrom(NewCircuitLayerSource(l, P, lanes, smp), kind)
 	})
 	return Result{L: l, T: rounds, P: P.Gate2, Q: P.Meas, Samples: samples,
 		FailX: fx, FailZ: fz, Failures: fa}

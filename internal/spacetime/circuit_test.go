@@ -7,7 +7,6 @@ import (
 
 	"ftqc/internal/bits"
 	"ftqc/internal/decoder"
-	"ftqc/internal/extract"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/toric"
@@ -25,7 +24,7 @@ func TestCircuitVolumeShape(t *testing.T) {
 	if got, want := v.Graph().Edges(), rounds*(2*nq+nc); got != want {
 		t.Fatalf("edge count %d, want %d", got, want)
 	}
-	sch := extract.Sched(l)
+	sch := toric.Cached(l).ExtractionSchedule()
 	for _, sector := range []struct {
 		g    *decoder.Graph
 		diag [][2]int32

@@ -3,7 +3,6 @@ package spacetime
 import (
 	"testing"
 
-	"ftqc/internal/extract"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/surface"
@@ -19,11 +18,11 @@ func TestLeakageNotSilentlyIgnored(t *testing.T) {
 	P := noise.Uniform(0.02)
 	leaky := P
 	leaky.Leak = 0.02
-	clean, err := CircuitMemoryOpts(4, 4, P, 1024, 77, DecodeOptions{})
+	clean, err := CodeCircuitMemoryOpts(toric.Cached(4), 4, P, 1024, 77, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty, err := CircuitMemoryOpts(4, 4, leaky, 1024, 77, DecodeOptions{})
+	dirty, err := CodeCircuitMemoryOpts(toric.Cached(4), 4, leaky, 1024, 77, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +34,10 @@ func TestLeakageNotSilentlyIgnored(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("extract.NewSource accepted P.Leak > 0 without panicking")
+			t.Fatal("NewCircuitLayerSource accepted P.Leak > 0 without panicking")
 		}
 	}()
-	extract.NewSource(4, leaky, 64, frame.NewAggregateSampler(1, 1))
+	NewCircuitLayerSource(4, leaky, 64, frame.NewAggregateSampler(1, 1))
 }
 
 // TestPlainCircuitSourcePanicsOnLeak pins the same contract on the
@@ -59,16 +58,16 @@ func TestPlainCircuitSourcePanicsOnLeak(t *testing.T) {
 func TestValidateRejectsMalformedModels(t *testing.T) {
 	bad := noise.Uniform(0.01)
 	bad.Leak = 1.5
-	if _, err := CircuitMemoryOpts(4, 4, bad, 64, 1, DecodeOptions{}); err == nil {
-		t.Fatal("CircuitMemoryOpts accepted Leak=1.5")
+	if _, err := CodeCircuitMemoryOpts(toric.Cached(4), 4, bad, 64, 1, DecodeOptions{}); err == nil {
+		t.Fatal("CodeCircuitMemoryOpts accepted Leak=1.5")
 	}
 	neg := noise.Uniform(0.01)
 	neg.Bias = -1
 	if _, err := CodeCircuitMemoryOpts(toric.Cached(4), 4, neg, 64, 1, DecodeOptions{}); err == nil {
 		t.Fatal("CodeCircuitMemoryOpts accepted Bias=-1")
 	}
-	if _, err := CircuitMemoryOpts(4, 0, noise.Uniform(0.01), 64, 1, DecodeOptions{}); err == nil {
-		t.Fatal("CircuitMemoryOpts accepted rounds=0")
+	if _, err := CodeCircuitMemoryOpts(toric.Cached(4), 0, noise.Uniform(0.01), 64, 1, DecodeOptions{}); err == nil {
+		t.Fatal("CodeCircuitMemoryOpts accepted rounds=0")
 	}
 }
 
@@ -79,11 +78,11 @@ func TestValidateRejectsMalformedModels(t *testing.T) {
 func TestPureErasureDecodesPerfectly(t *testing.T) {
 	var P noise.Params
 	P.Leak = 0.01
-	aware, err := CircuitMemoryOpts(4, 4, P, 2048, 303, DecodeOptions{ErasureAware: true})
+	aware, err := CodeCircuitMemoryOpts(toric.Cached(4), 4, P, 2048, 303, DecodeOptions{ErasureAware: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blind, err := CircuitMemoryOpts(4, 4, P, 2048, 303, DecodeOptions{})
+	blind, err := CodeCircuitMemoryOpts(toric.Cached(4), 4, P, 2048, 303, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +102,11 @@ func TestPureErasureDecodesPerfectly(t *testing.T) {
 func TestCircuitErasureAwareBeatsBlind(t *testing.T) {
 	P := noise.Uniform(0.003)
 	P.Leak = 0.01
-	aware, err := CircuitMemoryOpts(4, 4, P, 4096, 404, DecodeOptions{ErasureAware: true})
+	aware, err := CodeCircuitMemoryOpts(toric.Cached(4), 4, P, 4096, 404, DecodeOptions{ErasureAware: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blind, err := CircuitMemoryOpts(4, 4, P, 4096, 404, DecodeOptions{})
+	blind, err := CodeCircuitMemoryOpts(toric.Cached(4), 4, P, 4096, 404, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +132,11 @@ func TestCorrelatedDeterministic(t *testing.T) {
 	P := noise.Uniform(0.006)
 	P.Leak = 0.004
 	opts := DecodeOptions{ErasureAware: true, Correlated: true}
-	a, err := CircuitMemoryOpts(4, 4, P, 1024, 505, opts)
+	a, err := CodeCircuitMemoryOpts(toric.Cached(4), 4, P, 1024, 505, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CircuitMemoryOpts(4, 4, P, 1024, 505, opts)
+	b, err := CodeCircuitMemoryOpts(toric.Cached(4), 4, P, 1024, 505, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +153,11 @@ func TestCorrelatedDeterministic(t *testing.T) {
 // measured to over-erase and lose to independent decoding.
 func TestCorrelatedImprovesOverIndependent(t *testing.T) {
 	P := noise.Uniform(0.006)
-	ind, err := CircuitMemoryOpts(6, 6, P, 8192, 606, DecodeOptions{})
+	ind, err := CodeCircuitMemoryOpts(toric.Cached(6), 6, P, 8192, 606, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr, err := CircuitMemoryOpts(6, 6, P, 8192, 606, DecodeOptions{Correlated: true})
+	corr, err := CodeCircuitMemoryOpts(toric.Cached(6), 6, P, 8192, 606, DecodeOptions{Correlated: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +178,8 @@ func TestErasedVolumeMatchesPlainOnLeakFree(t *testing.T) {
 	P := noise.Uniform(0.008)
 	v := CachedCircuitVolumeFor(4, 4, P)
 	lanes := 192
-	fx1, fz1 := v.BatchCircuitErasedFrom(extract.NewSourceErased(4, P, lanes, frame.NewAggregateSampler(707, 3)), DecodeOptions{ErasureAware: true})
-	fx2, fz2 := v.BatchMemoryFrom(extract.NewSource(4, P, lanes, frame.NewAggregateSampler(707, 3)), toric.DecoderUnionFind)
+	fx1, fz1 := v.BatchCircuitErasedFrom(surface.NewCircuitSourceErased(toric.Cached(4), P, lanes, frame.NewAggregateSampler(707, 3)), DecodeOptions{ErasureAware: true})
+	fx2, fz2 := v.BatchMemoryFrom(NewCircuitLayerSource(4, P, lanes, frame.NewAggregateSampler(707, 3)), toric.DecoderUnionFind)
 	for lane := 0; lane < lanes; lane++ {
 		if fx1.Get(lane) != fx2.Get(lane) || fz1.Get(lane) != fz2.Get(lane) {
 			t.Fatalf("lane %d: erased pipeline diverges from plain on a leak-free model", lane)
@@ -217,7 +216,7 @@ func TestScheduleAblationDirection(t *testing.T) {
 func TestBiasedNoiseSanity(t *testing.T) {
 	P := noise.Uniform(0.004)
 	P.Bias = 100
-	r, err := CircuitMemoryOpts(4, 4, P, 2048, 909, DecodeOptions{})
+	r, err := CodeCircuitMemoryOpts(toric.Cached(4), 4, P, 2048, 909, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,9 @@
 // error planes accumulate edge-major, measurement-error masks come from
 // the sampler (frame.AggregateSampler's geometric skipping makes the q
 // draws nearly free), and difference layers are stored check-major.
-// The round loop is the LayerSource: it emits one difference layer per
-// noisy round (plus the perfect closing layer) in a fixed draw order,
-// and both consumers — the whole-volume batch decode here and the
+// The round loop is surface.LayerSource: it emits one difference layer
+// per noisy round (plus the perfect closing layer) in a fixed draw
+// order, and both consumers — the whole-volume batch decode here and the
 // sliding-window streaming decoder in internal/stream — drain the same
 // source, which is what makes them statistically identical by
 // construction. The (T+1)·L² layer planes pivot lane-major through

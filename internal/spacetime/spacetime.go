@@ -75,8 +75,8 @@ func NewCodeVolume(code surface.Code, rounds, wh, wv int) *Volume {
 
 // NewCircuitVolume builds the circuit-level volume: NewVolume plus the
 // diagonal edge class of weight wd ≥ 1, oriented by the extraction
-// schedule's per-edge {late, early} reader pairs (extract.Sched), and
-// the circuit-metric distance tables the exact matcher prices with.
+// schedule's per-edge {late, early} reader pairs, and the
+// circuit-metric distance tables the exact matcher prices with.
 func NewCircuitVolume(l, rounds, wh, wv, wd int) *Volume {
 	if wd < 1 {
 		panic("spacetime: circuit volume needs a positive diagonal weight")
@@ -498,116 +498,18 @@ func (v *Volume) matchCutoff(n int) int64 {
 	return int64(3 * mean * w)
 }
 
-// LayerSource samples a noisy-extraction history round by round for a
-// batch of lanes: fresh X and Z data errors at rate p per edge per
-// round, plaquette and star measurements flipped with probability q,
-// and the consecutive-round syndrome differences emitted as check-major
-// layer planes (one vector of `lanes` bits per check). Draw order per
-// round: X edge planes, Z edge planes, plaquette measurement masks,
-// star measurement masks — all in index order, so any experiment built
-// on a source is a pure function of the sampler stream. The whole-
-// volume batch decode and the streaming sliding-window decoder consume
-// the same source, which is what makes them statistically identical by
-// construction.
-type LayerSource struct {
-	lat    *toric.Lattice
-	p, q   float64
-	lanes  int
-	smp    frame.Sampler
-	rounds int // noisy rounds emitted so far
-
-	active, tmp  bits.Vec
-	intact, coin bits.Vec            // erasure-path scratch, built on first use
-	cumX, cumZ   []bits.Vec          // edge-major accumulated error planes
-	diff         *toric.SyndromeDiff // check-major observed-syndrome generations
-}
-
-// NewLayerSource returns a source over the L×L lattice for `lanes`
-// parallel shots drawing from smp.
-func NewLayerSource(l int, p, q float64, lanes int, smp frame.Sampler) *LayerSource {
-	lat := toric.Cached(l)
-	s := &LayerSource{
-		lat: lat, p: p, q: q, lanes: lanes, smp: smp,
-		active: bits.NewVec(lanes),
-		tmp:    bits.NewVec(lanes),
-		cumX:   bits.NewVecs(lat.Qubits(), lanes),
-		cumZ:   bits.NewVecs(lat.Qubits(), lanes),
-		diff:   toric.NewSyndromeDiff(lat.NumChecks(), lanes),
-	}
-	s.active.SetAll()
-	return s
-}
-
-// L returns the lattice size the source samples.
-func (s *LayerSource) L() int { return s.lat.L }
-
-// Lanes returns the batch width.
-func (s *LayerSource) Lanes() int { return s.lanes }
-
-// Rounds returns how many noisy rounds have been emitted.
-func (s *LayerSource) Rounds() int { return s.rounds }
-
-// NextLayers advances one noisy extraction round and writes its
-// difference-syndrome layers into layerX and layerZ (check-major,
-// NumChecks vectors each).
-func (s *LayerSource) NextLayers(layerX, layerZ []bits.Vec) {
-	nq, nc := s.lat.Qubits(), s.lat.NumChecks()
-	for e := 0; e < nq; e++ {
-		s.smp.Bernoulli(s.p, s.active, s.tmp)
-		s.cumX[e].Xor(s.tmp)
-	}
-	for e := 0; e < nq; e++ {
-		s.smp.Bernoulli(s.p, s.active, s.tmp)
-		s.cumZ[e].Xor(s.tmp)
-	}
-	curX := s.diff.CurX()
-	s.lat.PlaquetteSyndromePlanes(s.cumX, curX)
-	for c := 0; c < nc; c++ {
-		s.smp.Bernoulli(s.q, s.active, s.tmp)
-		curX[c].Xor(s.tmp)
-	}
-	curZ := s.diff.CurZ()
-	s.lat.StarSyndromePlanes(s.cumZ, curZ)
-	for c := 0; c < nc; c++ {
-		s.smp.Bernoulli(s.q, s.active, s.tmp)
-		curZ[c].Xor(s.tmp)
-	}
-	s.diff.Emit(layerX, layerZ)
-	s.rounds++
-}
-
-// CloseLayers writes the closing perfect round's difference layers: the
-// true syndromes of the accumulated errors, no fresh faults, no
-// measurement noise.
-func (s *LayerSource) CloseLayers(layerX, layerZ []bits.Vec) {
-	s.lat.PlaquetteSyndromePlanes(s.cumX, s.diff.CurX())
-	s.lat.StarSyndromePlanes(s.cumZ, s.diff.CurZ())
-	s.diff.Emit(layerX, layerZ)
-}
-
-// Windings fills the winding parities of the accumulated error chains:
-// the primal pair for the X sector, the dual pair for the Z sector.
-func (s *LayerSource) Windings(pX1, pX2, pZ1, pZ2 bits.Vec) {
-	s.lat.WindingPlanes(s.cumX, pX1, pX2)
-	s.lat.WindingPlanesDual(s.cumZ, pZ1, pZ2)
-}
-
-// ErrorPlanes returns the live accumulated error planes of the two
-// sectors (edge-major, one vector per qubit edge). Read-only views for
-// validation harnesses — callers must not modify them.
-func (s *LayerSource) ErrorPlanes() (x, z []bits.Vec) { return s.cumX, s.cumZ }
-
 // LayerFeed is the layer-source contract between syndrome-extraction
 // models and the decoders: T calls of NextLayers emit the noisy rounds'
 // difference-syndrome layers (check-major, one vector of lane bits per
 // check), CloseLayers emits the perfect closing layer, and Windings
-// reads the accumulated error chains' homology parities. Both the
-// whole-volume batch decode (Volume.BatchMemoryFrom) and the streaming
-// sliding-window pipeline (internal/stream) drain a feed; the
-// phenomenological LayerSource and the circuit-level
-// extract.Source/CircuitLayerSource both satisfy it.
+// reads the accumulated error chains' logical-failure parities. Both
+// the whole-volume batch decode (Volume.BatchMemoryFrom) and the
+// streaming sliding-window pipeline (internal/stream) drain a feed, and
+// reject one whose Code is not the code they decode. The
+// phenomenological surface.LayerSource and the circuit-level
+// surface.CircuitSource both satisfy it, for every code family.
 type LayerFeed interface {
-	L() int
+	Code() surface.Code
 	Lanes() int
 	Rounds() int
 	NextLayers(layerX, layerZ []bits.Vec)
@@ -616,50 +518,40 @@ type LayerFeed interface {
 }
 
 // BatchMemory runs `lanes` shots of the noisy-extraction memory
-// experiment as bit-planes: a LayerSource emits T rounds of difference
-// layers plus the perfect closing layer, and both sectors decode per
-// lane over the weighted volume. Returns the per-lane logical failure
-// masks of the two sectors.
+// experiment as bit-planes: a surface.LayerSource over the volume's
+// code emits T rounds of difference layers plus the perfect closing
+// layer, and both sectors decode per lane over the weighted volume.
+// Returns the per-lane logical failure masks of the two sectors.
 func (v *Volume) BatchMemory(p, q float64, kind toric.DecoderKind, lanes int, smp frame.Sampler) (failX, failZ bits.Vec) {
-	if v.lat == nil {
-		return v.BatchMemoryFrom(surface.NewLayerSource(v.code, p, q, lanes, smp), kind)
-	}
-	return v.BatchMemoryFrom(NewLayerSource(v.L, p, q, lanes, smp), kind)
+	return v.BatchMemoryFrom(surface.NewLayerSource(v.code, p, q, lanes, smp), kind)
 }
 
-// codeFeed is the optional code-aware extension of LayerFeed the
-// surface sources implement; it lets BatchMemoryFrom reject a feed of
-// the wrong code family (the L check alone cannot tell a distance-d
-// planar feed from a toric one).
-type codeFeed interface{ Code() surface.Code }
+// checkFeed panics on a feed that cannot drive this volume: already
+// drained, or extracting on a different code (family or distance).
+func (v *Volume) checkFeed(src LayerFeed) {
+	if src.Rounds() != 0 {
+		panic("spacetime: layer feed already drained")
+	}
+	if c := src.Code(); c.CodeName() != v.code.CodeName() || c.Distance() != v.L {
+		panic("spacetime: layer feed code does not match the volume")
+	}
+}
 
 // BatchMemoryFrom is BatchMemory draining an arbitrary layer feed — the
 // entry point a circuit-level source shares with the phenomenological
-// one. The feed must be fresh (zero rounds emitted) and sized for this
+// one. The feed must be fresh (zero rounds emitted) and extract on this
 // volume's code.
 func (v *Volume) BatchMemoryFrom(src LayerFeed, kind toric.DecoderKind) (failX, failZ bits.Vec) {
 	nc := v.nc
 	lanes := src.Lanes()
-	if src.Rounds() != 0 {
-		panic("spacetime: layer feed already drained")
-	}
-	if src.L() != v.L {
-		panic("spacetime: layer feed lattice size does not match the volume")
-	}
-	if cf, ok := src.(codeFeed); ok {
-		if cf.Code().CodeName() != v.code.CodeName() {
-			panic("spacetime: layer feed code family does not match the volume")
-		}
-	} else if v.code.CodeName() != "toric" {
-		panic("spacetime: this volume needs a code-aware layer feed (surface.NewLayerSource / NewCircuitSource)")
-	}
+	v.checkFeed(src)
 	layersX := bits.NewVecs(v.det, lanes)
 	layersZ := bits.NewVecs(v.det, lanes)
 	for t := 0; t < v.T; t++ {
 		src.NextLayers(layersX[t*nc:(t+1)*nc], layersZ[t*nc:(t+1)*nc])
 	}
 	src.CloseLayers(layersX[v.T*nc:], layersZ[v.T*nc:])
-	// Winding parities of the accumulated error chains.
+	// Failure-detector parities of the accumulated error chains.
 	pX1 := bits.NewVec(lanes)
 	pX2 := bits.NewVec(lanes)
 	pZ1 := bits.NewVec(lanes)

@@ -160,7 +160,7 @@ func laneError(planes []bits.Vec, lane int, errv bits.Vec) {
 // at service start) must not leak into the result.
 func TestCircuitMemoryDeterministicAndServiceInvariant(t *testing.T) {
 	run := func() Result {
-		r, err := CircuitMemory(4, 10, noise.Uniform(0.006), 5, 2, 800, 957)
+		r, err := CodeCircuitMemory(toric.Cached(4), 10, noise.Uniform(0.006), 5, 2, 800, 957)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestCircuitWindowedMatchesVolumeRates(t *testing.T) {
 	} {
 		P := noise.Uniform(cfg.eps)
 		w, c := DefaultWindow(cfg.l)
-		st, err := CircuitMemory(cfg.l, cfg.rounds, P, w, c, samples, 959)
+		st, err := CodeCircuitMemory(toric.Cached(cfg.l), cfg.rounds, P, w, c, samples, 959)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -185,12 +185,35 @@ func TestCodeMemoryEntryPoints(t *testing.T) {
 	if a != b {
 		t.Errorf("planar streaming memory not deterministic: %+v vs %+v", a, b)
 	}
-	tr, err := CircuitMemory(3, 10, noise.Uniform(0.004), 0, 0, 256, 11)
+	tr, err := CodeCircuitMemory(toric.Cached(3), 10, noise.Uniform(0.004), 0, 0, 256, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Code != "toric" {
 		t.Errorf("toric entry point stamps family %q", tr.Code)
+	}
+}
+
+// TestCodeSessionBatchMemory: a code session's BatchMemory samples the
+// session's own code (it used to build a toric source of the code's
+// distance and panic on every open-boundary window), and with the
+// window holding the whole stream it reproduces the whole-volume
+// decode bit for bit.
+func TestCodeSessionBatchMemory(t *testing.T) {
+	const lanes, rounds = 130, 5
+	for _, code := range []surface.Code{surface.Planar(3), surface.Rotated(3)} {
+		s := mustCodeSession(t, code, 6, 3, 1, 1)
+		fx1, fz1 := s.BatchMemory(rounds, 0.03, 0.03, lanes, frame.NewAggregateSampler(931, 2))
+		s.Close()
+		v := spacetime.CachedCodeVolumeWeighted(code, rounds, 1, 1)
+		fx2, fz2 := v.BatchMemory(0.03, 0.03, toric.DecoderUnionFind, lanes, frame.NewAggregateSampler(931, 2))
+		if !fx1.Equal(fx2) || !fz1.Equal(fz2) {
+			t.Errorf("%s: windowed decode differs from whole-volume (X %d vs %d fails, Z %d vs %d)",
+				code.CodeName(), fx1.Weight(), fx2.Weight(), fz1.Weight(), fz2.Weight())
+		}
+		if fx1.Weight()+fz1.Weight() == 0 {
+			t.Errorf("%s: no failures at p = q = 0.03 — degenerate comparison", code.CodeName())
+		}
 	}
 }
 

@@ -2,11 +2,11 @@ package stream
 
 // Streaming circuit-level erasure and correlated decoding: the sliding
 // window's half of internal/spacetime/circuiterasure.go. An erasure-
-// harvesting source (extract.NewSourceErased /
-// surface.NewCircuitSourceErased) reports every leak as a located
-// fault; PushErased carries those planes alongside the difference
-// layers, and every slide decodes the lanes they touch from scratch
-// with the erased edges seeded into the union-find peeling pass.
+// harvesting source (surface.NewCircuitSourceErased) reports every leak
+// as a located fault; PushErased carries those planes alongside the
+// difference layers, and every slide decodes the lanes they touch from
+// scratch with the erased edges seeded into the union-find peeling
+// pass.
 // Correlated decoders serialize each slide — primal window first, dual
 // repriced from the primal correction — so the committed frames stay a
 // pure function of the stream for any worker count, and a window taller
@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"ftqc/internal/bits"
-	"ftqc/internal/extract"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
@@ -70,7 +69,7 @@ func (d *Decoder) PushErased(layerX, layerZ, eraH, lostX, lostZ []bits.Vec) {
 // BatchCircuitMemoryFrom drains an erasure-harvesting circuit feed
 // through the sliding window with the selected decode options — the
 // streaming counterpart of Volume.BatchCircuitErasedFrom. The feed must
-// be fresh and match the window's lattice and code family.
+// be fresh and extract on the window's code.
 func (s *Session) BatchCircuitMemoryFrom(src spacetime.ErasedLayerFeed, rounds int, opts spacetime.DecodeOptions) (failX, failZ bits.Vec) {
 	w := s.win
 	s.checkFeed(src)
@@ -95,37 +94,16 @@ func (s *Session) BatchCircuitMemoryFrom(src spacetime.ErasedLayerFeed, rounds i
 	return s.failureMasks(src, d)
 }
 
-// CircuitMemoryOpts is the streaming circuit-level memory Monte Carlo
-// with leakage and the selected decode options: `rounds` full
-// extraction circuits per shot under P (including its Leak and Bias
-// channels) slide through the window, erased lanes decode with their
-// located faults, and correlated runs reprice the dual window each
-// slide. Result.Pe reports the leak rate. A malformed model or horizon
-// is a constructor error — leakage is never silently ignored.
-func CircuitMemoryOpts(l, rounds int, P noise.Params, window, commit, samples int, seed uint64, opts spacetime.DecodeOptions) (Result, error) {
-	if err := P.Validate(); err != nil {
-		return Result{}, err
-	}
-	window, commit = defaultedWindow(l, window, commit)
-	if rounds < 1 {
-		return Result{}, fmt.Errorf("stream: memory experiment needs at least one noisy round (got rounds=%d)", rounds)
-	}
-	wh, wv, wd := spacetime.WeightsCircuit(P, l, window)
-	s, err := NewCircuitSession(l, window, commit, wh, wv, wd)
-	if err != nil {
-		return Result{}, err
-	}
-	defer s.Close()
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return s.BatchCircuitMemoryFrom(extract.NewSourceErased(l, P, lanes, smp), rounds, opts)
-	})
-	return Result{Code: "toric", L: l, T: rounds, Window: window, Commit: commit, P: P.Gate2, Q: P.Meas,
-		Pe: P.Leak, Samples: samples, FailX: fx, FailZ: fz, Failures: fa}, nil
-}
-
-// CodeCircuitMemoryOpts is CircuitMemoryOpts for any surface.Code —
-// including schedule overrides (surface.WithSchedule), which is how the
-// CNOT-schedule ablation streams both schedules through one pipeline.
+// CodeCircuitMemoryOpts is the streaming circuit-level memory Monte
+// Carlo with leakage and the selected decode options: `rounds` full
+// extraction circuits of the code's schedule per shot under P
+// (including its Leak and Bias channels) slide through the window,
+// erased lanes decode with their located faults, and correlated runs
+// reprice the dual window each slide. Result.Pe reports the leak rate.
+// A malformed model or horizon is a constructor error — leakage is
+// never silently ignored. Schedule overrides (surface.WithSchedule) are
+// how the CNOT-schedule ablation streams both schedules through one
+// pipeline.
 func CodeCircuitMemoryOpts(code surface.Code, rounds int, P noise.Params, window, commit, samples int, seed uint64, opts spacetime.DecodeOptions) (Result, error) {
 	if err := P.Validate(); err != nil {
 		return Result{}, err

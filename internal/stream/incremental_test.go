@@ -9,6 +9,7 @@ import (
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
+	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
 
@@ -112,7 +113,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 				t.Fatal(err)
 			}
 			slid += driveBoth(t, "phenomenological", si, sf, func() spacetime.LayerFeed {
-				return spacetime.NewLayerSource(l, p, p, lanes, frame.NewAggregateSampler(seed, 5))
+				return surface.NewLayerSource(toric.Cached(l), p, p, lanes, frame.NewAggregateSampler(seed, 5))
 			}, rounds, lanes)
 			si.Close()
 			pool.Close()
@@ -163,7 +164,7 @@ func TestRewindowDropsForestCleanly(t *testing.T) {
 			defer s2.Close()
 			s1.SetIncremental(incremental)
 			s2.SetIncremental(incremental)
-			src := spacetime.NewLayerSource(l, p, p, lanes, frame.NewAggregateSampler(seed, 3))
+			src := surface.NewLayerSource(toric.Cached(l), p, p, lanes, frame.NewAggregateSampler(seed, 3))
 			nc := s1.win.nc
 			lx := bits.NewVecs(nc, lanes)
 			lz := bits.NewVecs(nc, lanes)

@@ -9,6 +9,7 @@ import (
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
 	"ftqc/internal/surface"
+	"ftqc/internal/toric"
 )
 
 // Session owns the long-lived machinery of one streaming configuration:
@@ -474,7 +475,7 @@ func (d *Decoder) Lanes() int { return d.lanes }
 func (d *Decoder) Err() error { return d.err }
 
 // Push ingests one round's difference layers (check-major, one vector
-// of lane bits per check, as emitted by spacetime.LayerSource). When
+// of lane bits per check, as emitted by a spacetime.LayerFeed). When
 // the window is full the oldest Commit rounds are decoded and
 // committed first.
 func (d *Decoder) Push(layerX, layerZ []bits.Vec) {
@@ -1180,18 +1181,19 @@ func (d *Decoder) FootprintBytes() int {
 }
 
 // BatchMemory runs `lanes` streaming shots of the noisy-extraction
-// memory over this session's window: a spacetime.LayerSource emits
-// difference layers round by round (the same draw order as the
-// whole-volume batch), the sliding window commits as it goes, and one
-// perfect closing round settles the tail. Returns the per-lane logical
-// failure masks of the two sectors.
+// memory over this session's window: a surface.LayerSource over the
+// window's code emits difference layers round by round (the same draw
+// order as the whole-volume batch), the sliding window commits as it
+// goes, and one perfect closing round settles the tail. Returns the
+// per-lane logical failure masks of the two sectors.
 func (s *Session) BatchMemory(rounds int, p, q float64, lanes int, smp frame.Sampler) (failX, failZ bits.Vec) {
-	return s.BatchMemoryFrom(spacetime.NewLayerSource(s.win.L, p, q, lanes, smp), rounds)
+	return s.BatchMemoryFrom(surface.NewLayerSource(s.win.code, p, q, lanes, smp), rounds)
 }
 
 // BatchMemoryFrom is BatchMemory draining an arbitrary layer feed — the
-// phenomenological LayerSource and the circuit-level CircuitLayerSource
-// stream through the same window machinery. The feed must be fresh.
+// phenomenological surface.LayerSource and the circuit-level
+// surface.CircuitSource stream through the same window machinery. The
+// feed must be fresh.
 func (s *Session) BatchMemoryFrom(src spacetime.LayerFeed, rounds int) (failX, failZ bits.Vec) {
 	w := s.win
 	s.checkFeed(src)
@@ -1214,21 +1216,15 @@ func (s *Session) BatchMemoryFrom(src spacetime.LayerFeed, rounds int) (failX, f
 }
 
 // checkFeed panics on a feed that cannot drive this session's window:
-// already drained, wrong lattice size, or wrong code family.
+// already drained, or extracting on a different code (family or
+// distance).
 func (s *Session) checkFeed(src spacetime.LayerFeed) {
 	w := s.win
 	if src.Rounds() != 0 {
 		panic("stream: layer feed already drained")
 	}
-	if src.L() != w.L {
-		panic("stream: layer feed lattice size does not match the window")
-	}
-	if cf, ok := src.(interface{ Code() surface.Code }); ok {
-		if cf.Code().CodeName() != w.code.CodeName() {
-			panic("stream: layer feed code family does not match the window")
-		}
-	} else if w.code.CodeName() != "toric" {
-		panic("stream: this window needs a code-aware layer feed (surface.NewLayerSource / NewCircuitSource)")
+	if c := src.Code(); c.CodeName() != w.code.CodeName() || c.Distance() != w.L {
+		panic("stream: layer feed code does not match the window")
 	}
 }
 
@@ -1287,35 +1283,16 @@ func (r Result) FailRateZ() float64 { return float64(r.FailZ) / float64(r.Sample
 // accuracy matches whole-volume decoding) with a half-window commit.
 func DefaultWindow(l int) (window, commit int) { return 2 * l, l }
 
-// Memory runs the streaming noisy-syndrome memory experiment: `rounds`
-// noisy extraction rounds at data rate p and measurement rate q,
-// decoded through a sliding window of `window` layers committing
-// `commit` rounds per slide (pass 0, 0 for the DefaultWindow sizes),
-// fanned out over the CPUs in deterministic seed-per-chunk batches
-// that all share one long-lived decode pool. The result is a pure
-// function of (samples, seed) — never of GOMAXPROCS. Invalid window
-// shapes or horizons return a descriptive error.
-func Memory(l, rounds int, p, q float64, window, commit, samples int, seed uint64) (Result, error) {
-	window, commit = defaultedWindow(l, window, commit)
-	if rounds < 1 {
-		return Result{}, fmt.Errorf("stream: memory experiment needs at least one noisy round (got rounds=%d)", rounds)
-	}
-	wh, wv := spacetime.Weights(p, q, l, rounds)
-	s, err := NewSession(l, window, commit, wh, wv)
-	if err != nil {
-		return Result{}, err
-	}
-	defer s.Close()
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return s.BatchMemory(rounds, p, q, lanes, smp)
-	})
-	return Result{Code: "toric", L: l, T: rounds, Window: window, Commit: commit, P: p, Q: q,
-		Samples: samples, FailX: fx, FailZ: fz, Failures: fa}, nil
-}
-
-// CodeMemory is Memory over any surface.Code: the code's own
-// phenomenological layer source streams through a sliding window whose
-// open-boundary graphs ground on the virtual node.
+// CodeMemory runs the streaming noisy-syndrome memory experiment:
+// `rounds` noisy extraction rounds at data rate p and measurement rate
+// q on the code's phenomenological layer source, decoded through a
+// sliding window of `window` layers committing `commit` rounds per
+// slide (pass 0, 0 for the DefaultWindow sizes; open-boundary windows
+// ground on the virtual node), fanned out over the CPUs in
+// deterministic seed-per-chunk batches that all share one long-lived
+// decode pool. The result is a pure function of (samples, seed) —
+// never of GOMAXPROCS. Invalid window shapes or horizons return a
+// descriptive error.
 func CodeMemory(code surface.Code, rounds int, p, q float64, window, commit, samples int, seed uint64) (Result, error) {
 	window, commit = defaultedWindow(code.Distance(), window, commit)
 	if rounds < 1 {
@@ -1328,40 +1305,19 @@ func CodeMemory(code surface.Code, rounds int, p, q float64, window, commit, sam
 	}
 	defer s.Close()
 	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return s.BatchMemoryFrom(surface.NewLayerSource(code, p, q, lanes, smp), rounds)
+		return s.BatchMemory(rounds, p, q, lanes, smp)
 	})
 	return Result{Code: code.CodeName(), L: code.Distance(), T: rounds, Window: window, Commit: commit,
 		P: p, Q: q, Samples: samples, FailX: fx, FailZ: fz, Failures: fa}, nil
 }
 
-// CircuitMemory runs the circuit-level noisy-extraction memory through
-// the sliding window: extract.Source runs the full extraction circuit
-// round by round (faults at every location of the model P), the
-// diagonal-edge window decodes and commits as it goes. Pass 0, 0 for
-// the DefaultWindow sizes. Weights come from spacetime.WeightsCircuit
-// with the window as the decode horizon.
-func CircuitMemory(l, rounds int, P noise.Params, window, commit, samples int, seed uint64) (Result, error) {
-	window, commit = defaultedWindow(l, window, commit)
-	if rounds < 1 {
-		return Result{}, fmt.Errorf("stream: memory experiment needs at least one noisy round (got rounds=%d)", rounds)
-	}
-	wh, wv, wd := spacetime.WeightsCircuit(P, l, window)
-	s, err := NewCircuitSession(l, window, commit, wh, wv, wd)
-	if err != nil {
-		return Result{}, err
-	}
-	defer s.Close()
-	fx, fz, fa := frame.CountSectorFailures(samples, seed, func(lanes int, smp frame.Sampler) (bits.Vec, bits.Vec) {
-		return s.BatchMemoryFrom(spacetime.NewCircuitLayerSource(l, P, lanes, smp), rounds)
-	})
-	return Result{Code: "toric", L: l, T: rounds, Window: window, Commit: commit, P: P.Gate2, Q: P.Meas,
-		Samples: samples, FailX: fx, FailZ: fz, Failures: fa}, nil
-}
-
-// CodeCircuitMemory is CircuitMemory over any surface.Code: the code's
-// own extraction circuit (surface.CircuitSource) streams through a
-// diagonal-edge sliding window, boundary-truncated diagonals grounded
-// on the virtual node.
+// CodeCircuitMemory runs the circuit-level noisy-extraction memory
+// through the sliding window: the code's own extraction circuit
+// (surface.CircuitSource, faults at every location of the model P)
+// streams round by round and the diagonal-edge window decodes and
+// commits as it goes, boundary-truncated diagonals grounded on the
+// virtual node. Pass 0, 0 for the DefaultWindow sizes. Weights come
+// from spacetime.WeightsCircuit with the window as the decode horizon.
 func CodeCircuitMemory(code surface.Code, rounds int, P noise.Params, window, commit, samples int, seed uint64) (Result, error) {
 	window, commit = defaultedWindow(code.Distance(), window, commit)
 	if rounds < 1 {
@@ -1411,7 +1367,7 @@ func SustainedThreshold(l1, l2 int, grid []float64, samples int, seed uint64) (f
 	large := make([]float64, len(grid))
 	run := func(l int, p float64, seed uint64) Result {
 		w, c := DefaultWindow(l)
-		r, err := Memory(l, 4*l, p, p, w, c, samples, seed)
+		r, err := CodeMemory(toric.Cached(l), 4*l, p, p, w, c, samples, seed)
 		if err != nil {
 			// The sweep derives its own parameters; they cannot be invalid.
 			panic(err)

@@ -11,6 +11,7 @@ import (
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
+	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
 
@@ -37,7 +38,7 @@ func mustCircuitSession(t *testing.T, l, window, commit, wh, wv, wd int) *Sessio
 
 func mustMemory(t *testing.T, l, rounds int, p, q float64, window, commit, samples int, seed uint64) Result {
 	t.Helper()
-	r, err := Memory(l, rounds, p, q, window, commit, samples, seed)
+	r, err := CodeMemory(toric.Cached(l), rounds, p, q, window, commit, samples, seed)
 	if err != nil {
 		t.Fatalf("Memory: %v", err)
 	}
@@ -175,7 +176,7 @@ func TestCommitBoundaryQuickcheck(t *testing.T) {
 		// Soundness: drive a decoder by hand so the accumulated error is
 		// inspectable, then check the residual is syndrome-free per lane.
 		s := mustSession(t, l, window, commit, wh, wv)
-		src := spacetime.NewLayerSource(l, p, q, lanes, frame.NewAggregateSampler(seed, 4))
+		src := surface.NewLayerSource(toric.Cached(l), p, q, lanes, frame.NewAggregateSampler(seed, 4))
 		d := s.NewDecoder(lanes)
 		lat := toric.Cached(l)
 		layerX := bits.NewVecs(lat.NumChecks(), lanes)
@@ -247,7 +248,7 @@ func TestThousandRoundStreamSmoke(t *testing.T) {
 	wh, wv := spacetime.Weights(p, p, l, w)
 	s := mustSession(t, l, w, c, wh, wv)
 	defer s.Close()
-	src := spacetime.NewLayerSource(l, p, p, lanes, frame.NewAggregateSampler(908, 1))
+	src := surface.NewLayerSource(toric.Cached(l), p, p, lanes, frame.NewAggregateSampler(908, 1))
 	d := s.NewDecoder(lanes)
 	lat := toric.Cached(l)
 	layerX := bits.NewVecs(lat.NumChecks(), lanes)
@@ -287,7 +288,7 @@ func TestConstantMemorySustained(t *testing.T) {
 	wh, wv := spacetime.Weights(p, p, l, w)
 	s := mustSession(t, l, w, c, wh, wv)
 	defer s.Close()
-	src := spacetime.NewLayerSource(l, p, p, lanes, frame.NewAggregateSampler(909, 1))
+	src := surface.NewLayerSource(toric.Cached(l), p, p, lanes, frame.NewAggregateSampler(909, 1))
 	d := s.NewDecoder(lanes)
 	lat := toric.Cached(l)
 	layerX := bits.NewVecs(lat.NumChecks(), lanes)
@@ -375,15 +376,15 @@ func TestWindowValidation(t *testing.T) {
 	if _, err := NewWindow(4, 8, 4, 1, decoder.MaxEdgeWeight); err != nil {
 		t.Errorf("window with wv = decoder.MaxEdgeWeight rejected: %v", err)
 	}
-	if _, err := Memory(4, 0, 0.01, 0.01, 4, 2, 100, 1); err == nil {
+	if _, err := CodeMemory(toric.Cached(4), 0, 0.01, 0.01, 4, 2, 100, 1); err == nil {
 		t.Error("Memory with zero rounds accepted")
 	}
-	if _, err := CircuitMemory(4, 5, noise.Uniform(0.004), 4, 4, 100, 1); err == nil {
+	if _, err := CodeCircuitMemory(toric.Cached(4), 5, noise.Uniform(0.004), 4, 4, 100, 1); err == nil {
 		t.Error("CircuitMemory with commit == window accepted")
 	}
 	// An oversized window over a short stream stays valid — it decodes
 	// whole-volume at Finish.
-	if _, err := Memory(3, 2, 0.02, 0.02, 9, 3, 100, 2); err != nil {
+	if _, err := CodeMemory(toric.Cached(3), 2, 0.02, 0.02, 9, 3, 100, 2); err != nil {
 		t.Errorf("oversized window rejected: %v", err)
 	}
 }
@@ -431,7 +432,7 @@ func TestDecoderErrAfterPoolClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := spacetime.NewLayerSource(l, 0.05, 0.05, lanes, frame.NewAggregateSampler(915, 1))
+	src := surface.NewLayerSource(toric.Cached(l), 0.05, 0.05, lanes, frame.NewAggregateSampler(915, 1))
 	d := s.NewDecoder(lanes)
 	lat := toric.Cached(l)
 	layerX := bits.NewVecs(lat.NumChecks(), lanes)
@@ -483,7 +484,7 @@ func TestRewindowSoundness(t *testing.T) {
 			defer s1.Close()
 			s2 := mustSession(t, l, w2, c2, wh, wv)
 			defer s2.Close()
-			src := spacetime.NewLayerSource(l, p, p, lanes, frame.NewAggregateSampler(seed, 2))
+			src := surface.NewLayerSource(toric.Cached(l), p, p, lanes, frame.NewAggregateSampler(seed, 2))
 			lat := toric.Cached(l)
 			layerX := bits.NewVecs(lat.NumChecks(), lanes)
 			layerZ := bits.NewVecs(lat.NumChecks(), lanes)

@@ -9,6 +9,8 @@ import (
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
 	"ftqc/internal/spacetime"
+	"ftqc/internal/surface"
+	"ftqc/internal/toric"
 )
 
 // TestSetIncrementalMidStreamToggle pins live mode flips: a decoder
@@ -62,7 +64,7 @@ func TestSetIncrementalMidStreamToggle(t *testing.T) {
 				t.Fatal(err)
 			}
 			feed = func() spacetime.LayerFeed {
-				return spacetime.NewLayerSource(l, p, p, lanes, frame.NewAggregateSampler(seed, 5))
+				return surface.NewLayerSource(toric.Cached(l), p, p, lanes, frame.NewAggregateSampler(seed, 5))
 			}
 		}
 		sf.SetIncremental(false)

@@ -1,4 +1,4 @@
-package extract
+package surface_test
 
 import (
 	"testing"
@@ -6,16 +6,18 @@ import (
 	"ftqc/internal/bits"
 	"ftqc/internal/frame"
 	"ftqc/internal/noise"
+	"ftqc/internal/surface"
 	"ftqc/internal/toric"
 )
 
-// TestScheduleReadsEveryEdgeTwice: every data edge is read by exactly
-// its two adjacent checks in each sector, at distinct steps, and each
-// step's check→edge map is injective (the schedule is conflict-free).
+// TestScheduleReadsEveryEdgeTwice: every data edge of the torus is read
+// by exactly its two adjacent checks in each sector, at distinct steps,
+// and each step's check→edge map is injective (the schedule is
+// conflict-free).
 func TestScheduleReadsEveryEdgeTwice(t *testing.T) {
 	for _, l := range []int{2, 3, 4, 5} {
 		lat := toric.Cached(l)
-		sch := Sched(l)
+		sch := lat.ExtractionSchedule()
 		for sector, orders := range [][][4]int{sch.Plaq, sch.Star} {
 			reads := make([]int, lat.Qubits())
 			for step := 0; step < 4; step++ {
@@ -59,7 +61,7 @@ func TestZeroNoiseExtractionIsSilent(t *testing.T) {
 	const lanes = 130
 	for _, l := range []int{3, 4} {
 		lat := toric.Cached(l)
-		src := NewSource(l, noise.Params{}, lanes, frame.NewAggregateSampler(11, 1))
+		src := surface.NewCircuitSource(lat, noise.Params{}, lanes, frame.NewAggregateSampler(11, 1))
 		layerX := bits.NewVecs(lat.NumChecks(), lanes)
 		layerZ := bits.NewVecs(lat.NumChecks(), lanes)
 		for r := 0; r < 4; r++ {
@@ -89,7 +91,7 @@ func TestInjectedErrorsReadCorrectSyndromes(t *testing.T) {
 	l := 4
 	lat := toric.Cached(l)
 	nc := lat.NumChecks()
-	src := NewSource(l, noise.Params{}, lanes, frame.NewAggregateSampler(12, 2))
+	src := surface.NewCircuitSource(lat, noise.Params{}, lanes, frame.NewAggregateSampler(12, 2))
 	layerX := bits.NewVecs(nc, lanes)
 	layerZ := bits.NewVecs(nc, lanes)
 	src.NextLayers(layerX, layerZ) // settle round 0 (all zero)
@@ -161,21 +163,25 @@ func equalInts(a, b []int) bool {
 
 // TestLocationsPerRound pins the ArmTrigger coordinate system: the
 // per-lane location counter advances by exactly LocationsPerRound each
-// round, independent of the noise parameters.
+// round, independent of the noise parameters — 2L² + 12L² on the torus.
 func TestLocationsPerRound(t *testing.T) {
 	for _, l := range []int{2, 3, 4} {
+		lat := toric.Cached(l)
+		if got, want := surface.LocationsPerRound(lat), 14*l*l; got != want {
+			t.Fatalf("L=%d: LocationsPerRound = %d, want 2L²+12L² = %d", l, got, want)
+		}
 		for _, P := range []noise.Params{{}, noise.Uniform(0.01)} {
-			src := NewSource(l, P, 8, frame.NewAggregateSampler(13, 3))
+			src := surface.NewCircuitSource(lat, P, 8, frame.NewAggregateSampler(13, 3))
 			src.Sim().ArmTrigger(0, -1) // enable per-lane location counting
-			nc := toric.Cached(l).NumChecks()
+			nc := lat.NumChecks()
 			layerX := bits.NewVecs(nc, 8)
 			layerZ := bits.NewVecs(nc, 8)
 			src.NextLayers(layerX, layerZ)
-			if got := src.Sim().LaneLocationCount(0); got != LocationsPerRound(l) {
-				t.Fatalf("L=%d P=%+v: %d locations per round, want %d", l, P, got, LocationsPerRound(l))
+			if got := src.Sim().LaneLocationCount(0); got != surface.LocationsPerRound(lat) {
+				t.Fatalf("L=%d P=%+v: %d locations per round, want %d", l, P, got, surface.LocationsPerRound(lat))
 			}
 			src.NextLayers(layerX, layerZ)
-			if got := src.Sim().LaneLocationCount(0); got != 2*LocationsPerRound(l) {
+			if got := src.Sim().LaneLocationCount(0); got != 2*surface.LocationsPerRound(lat) {
 				t.Fatalf("L=%d: %d locations after two rounds", l, got)
 			}
 		}
@@ -191,12 +197,12 @@ func TestMeasurementFaultIsVerticalPair(t *testing.T) {
 	const l = 4
 	lat := toric.Cached(l)
 	nc := lat.NumChecks()
-	src := NewSource(l, noise.Params{}, 1, frame.NewAggregateSampler(14, 4))
+	src := surface.NewCircuitSource(lat, noise.Params{}, 1, frame.NewAggregateSampler(14, 4))
 	sim := src.Sim()
 	// Trigger an X flip on the plaquette-0 ancilla right at its
 	// measurement location in round 1. Location: round offset + storage
 	// (2L²) + prep (L²) + CNOTs (4L²) + 0.
-	loc := LocationsPerRound(l) + 2*l*l + 5*l*l
+	loc := surface.LocationsPerRound(lat) + 2*l*l + 5*l*l
 	sim.ArmTrigger(0, loc)
 	sim.TriggerFault = func(b *frame.BatchSim, lane int, qubits []int) {
 		b.InjectX(qubits[0], lane)

@@ -1,25 +1,30 @@
 package surface_test
 
-// Exhaustive single-fault enumeration for the open-boundary families —
-// the extract package's "every fault is decodable" property, restated
-// for codes whose boundaries absorb parity. One batch run per fault
-// component arms every lane's trigger at a different circuit location
-// of one full extraction round, covering all LocationsPerRound(code)
-// locations in six runs (the X⊗I/I⊗X/X⊗X and Z⊗I/I⊗Z/Z⊗Z components
-// span the 15 nontrivial two-qubit Paulis across the two independent
-// sectors).
+// Exhaustive single-fault enumeration — the "every fault is decodable"
+// property of circuit-level extraction, for every code family. One
+// batch run per fault component arms every lane's trigger at a
+// different circuit location of one full extraction round (via
+// BatchSim.ArmTrigger), covering all LocationsPerRound(code) locations
+// in six runs: the 15 nontrivial Paulis of a two-qubit location
+// decompose into an X-part ∈ {X⊗I, I⊗X, X⊗X} and a Z-part ∈ {Z⊗I,
+// I⊗Z, Z⊗Z}, and the two sectors decode independently, so the six
+// components cover them all.
 //
-// Open codes forgo the toric test's even-defect-parity invariant: a
-// fault next to a boundary legitimately lights a single detector and
-// the virtual node absorbs the partner. What must still hold is the
-// decode-residual chain — decoding the defect set over the
-// boundary-grounded diagonal-edge circuit volume yields a correction
-// whose residual against the injected error is syndrome-free and
-// carries no logical error. The enumeration must also witness both
-// diagonal classes: an interior hook pair {(c₁,t), (c₂,t+1)} and a
-// boundary-truncated hook (the lone defect of a single-reader qubit).
+// For every location and component the decode-residual chain must
+// hold: decoding the defect set over the diagonal-edge circuit volume
+// yields a correction whose residual against the injected error is
+// syndrome-free and carries no logical error. On the torus every
+// sector's defect set must also have even parity (nothing falls
+// outside the volume), and the exact matcher must decode it too. Open
+// codes forgo the parity invariant: a fault next to a boundary
+// legitimately lights a single detector and the virtual node absorbs
+// the partner. The enumeration must witness the diagonal classes: an
+// interior hook pair {(c₁,t), (c₂,t+1)} along a schedule diagonal on
+// every code, and a boundary-truncated hook (the lone defect of a
+// single-reader qubit) on open codes.
 
 import (
+	"fmt"
 	"testing"
 
 	"ftqc/internal/bits"
@@ -44,6 +49,12 @@ var faultComponents = []faultComponent{
 	{"ZZ", false, true, false, true},
 }
 
+func TestSingleFaultEnumerationDecodes(t *testing.T) {
+	for _, l := range []int{4, 5} {
+		testSingleFaultEnumeration(t, toric.Cached(l))
+	}
+}
+
 func TestSingleFaultEnumerationPlanar(t *testing.T) {
 	testSingleFaultEnumeration(t, surface.Planar(3))
 	testSingleFaultEnumeration(t, surface.Planar(4))
@@ -57,6 +68,12 @@ func TestSingleFaultEnumerationRotated(t *testing.T) {
 func testSingleFaultEnumeration(t *testing.T, code surface.Code) {
 	const rounds = 3
 	name, nc := code.CodeName(), code.Checks()
+	lat, closed := code.(*toric.Lattice)
+	kinds := []toric.DecoderKind{toric.DecoderUnionFind}
+	if closed {
+		name = fmt.Sprintf("toric L=%d", lat.L)
+		kinds = append(kinds, toric.DecoderExact)
+	}
 	locs := surface.LocationsPerRound(code)
 	wh, wv, wd := spacetime.WeightsCircuit(noise.Uniform(0.004), code.Distance(), rounds)
 	vol := spacetime.CachedCodeCircuitVolume(code, rounds, wh, wv, wd)
@@ -101,30 +118,35 @@ func testSingleFaultEnumeration(t *testing.T, code surface.Code) {
 		for lane := 0; lane < locs; lane++ {
 			dX := synX[lane].Support()
 			dZ := synZ[lane].Support()
+			if closed && (len(dX)%2 != 0 || len(dZ)%2 != 0) {
+				t.Fatalf("%s %s location %d: odd defect parity (X %v, Z %v)", name, fc.name, lane, dX, dZ)
+			}
 			diagSeen += countDiagPairs(dX, nc, sch.DiagX) + countDiagPairs(dZ, nc, sch.DiagZ)
 			truncSeen += countTruncated(dX, nc, sch.DiagX) + countTruncated(dZ, nc, sch.DiagZ)
-			corr := vol.Decode(dX, toric.DecoderUnionFind, false)
-			laneResidual(cumX, lane, corr, errv)
-			if res := sectorSyndrome(code, false, errv); len(res) != 0 {
-				t.Fatalf("%s %s location %d: X residual carries syndrome %v (defects %v)", name, fc.name, lane, res, dX)
-			}
-			if p1, p2 := code.LogicalParity(false, errv); p1 || p2 {
-				t.Fatalf("%s %s location %d: single fault became an X logical (defects %v)", name, fc.name, lane, dX)
-			}
-			corr = vol.Decode(dZ, toric.DecoderUnionFind, true)
-			laneResidual(cumZ, lane, corr, errv)
-			if res := sectorSyndrome(code, true, errv); len(res) != 0 {
-				t.Fatalf("%s %s location %d: Z residual carries syndrome %v (defects %v)", name, fc.name, lane, res, dZ)
-			}
-			if p1, p2 := code.LogicalParity(true, errv); p1 || p2 {
-				t.Fatalf("%s %s location %d: single fault became a Z logical (defects %v)", name, fc.name, lane, dZ)
+			for _, kind := range kinds {
+				corr := vol.Decode(dX, kind, false)
+				laneResidual(cumX, lane, corr, errv)
+				if res := sectorSyndrome(code, false, errv); len(res) != 0 {
+					t.Fatalf("%s %s location %d: X residual carries syndrome %v (decoder %d, defects %v)", name, fc.name, lane, res, kind, dX)
+				}
+				if p1, p2 := code.LogicalParity(false, errv); p1 || p2 || closed && lat.LogicalError(errv) {
+					t.Fatalf("%s %s location %d: single fault became an X logical (decoder %d, defects %v)", name, fc.name, lane, kind, dX)
+				}
+				corr = vol.Decode(dZ, kind, true)
+				laneResidual(cumZ, lane, corr, errv)
+				if res := sectorSyndrome(code, true, errv); len(res) != 0 {
+					t.Fatalf("%s %s location %d: Z residual carries syndrome %v (decoder %d, defects %v)", name, fc.name, lane, res, kind, dZ)
+				}
+				if p1, p2 := code.LogicalParity(true, errv); p1 || p2 || closed && lat.LogicalZError(errv) {
+					t.Fatalf("%s %s location %d: single fault became a Z logical (decoder %d, defects %v)", name, fc.name, lane, kind, dZ)
+				}
 			}
 		}
 	}
 	if diagSeen == 0 {
 		t.Fatalf("%s: no single fault produced an interior diagonal defect pair", name)
 	}
-	if truncSeen == 0 {
+	if !closed && truncSeen == 0 {
 		t.Fatalf("%s: no single fault produced a boundary-truncated diagonal defect", name)
 	}
 }

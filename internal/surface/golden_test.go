@@ -40,7 +40,7 @@ type phenomSource interface {
 }
 
 func newToricPhenom(l int, p, q float64, lanes int, smp frame.Sampler) phenomSource {
-	return spacetime.NewLayerSource(l, p, q, lanes, smp)
+	return surface.NewLayerSource(toric.Cached(l), p, q, lanes, smp)
 }
 
 type planeHash struct {

@@ -21,8 +21,11 @@
 package surface
 
 import (
+	"sync"
+
 	"ftqc/internal/bits"
 	"ftqc/internal/decoder"
+	"ftqc/internal/frame"
 )
 
 // Code is the detector-graph contract a code family implements to flow
@@ -85,6 +88,9 @@ type Code interface {
 type Schedule struct {
 	Plaq, Star   [][4]int
 	DiagX, DiagZ [][2]int32
+
+	planOnce sync.Once
+	plan     *frame.RoundPlan // fused extraction round (see roundPlan)
 }
 
 // ReaderPairs derives the diagonal edge classes of one sector from its
